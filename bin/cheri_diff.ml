@@ -10,12 +10,14 @@
    With two files, A is the reference and B the candidate.  With one,
    the reference is `<baseline-dir>/BENCH_obs.json` (the committed
    baseline; `--baseline` overrides the directory).  Architectural
-   counters must match exactly; wall-clock fields get a tolerance band
-   (`--wall-tol`, report-only unless `--strict-wall`).
+   counters (the kernel crossing counters included) must match exactly;
+   wall-clock fields get a tolerance band (`--wall-tol`, report-only
+   unless `--strict-wall`).
 
    Exit status: 0 = no regression, 1 = an architectural counter
    differed or a run is missing (or a wall delta under `--strict-wall`),
-   2 = a file could not be loaded. *)
+   2 = a file could not be loaded (unsupported schemas, i.e. anything
+   other than cheri-obs-bench/5 and cheri-obs-trace/1, included). *)
 
 open Cmdliner
 
@@ -34,9 +36,7 @@ let diff file_a file_b baseline_dir wall_tol strict_wall json =
   in
   let a = load path_a in
   let b = load path_b in
-  let policy =
-    { Obs.Diff.default_policy with Obs.Diff.wall_tol_pct = wall_tol; fail_on_wall = strict_wall }
-  in
+  let policy = { Obs.Diff.wall_tol_pct = wall_tol; fail_on_wall = strict_wall } in
   let report = Obs.Diff.run ~policy a b in
   if json then Fmt.pr "%a@." Obs.Json.pp (Obs.Diff.to_json report)
   else begin

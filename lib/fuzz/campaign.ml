@@ -316,7 +316,6 @@ let fuzz_mips r =
 let export_entry r =
   let counters = Obs.Counters.create () in
   Obs.Counters.set counters Obs.Counters.instret r.instret;
-  Obs.Counters.set_int counters Obs.Counters.samples r.programs_done;
   let spans =
     Array.to_list
       (Array.mapi

@@ -116,10 +116,8 @@ let compare_final (ms : Machine.t) (mp : Machine.t) =
   Array.iteri
     (fun i name ->
       if
-        (* engine telemetry legitimately differs; everything else may not *)
-        i <> Obs.Counters.sb_translations && i <> Obs.Counters.sb_dispatches
-        && i <> Obs.Counters.sb_retired
-        && Obs.Counters.get cs i <> Obs.Counters.get cp i
+        (* engine telemetry legitimately differs; architectural counters may not *)
+        Obs.Counters.is_architectural i && Obs.Counters.get cs i <> Obs.Counters.get cp i
       then
         note
           (Printf.sprintf "counter %s: %Ld vs %Ld" name (Obs.Counters.get cs i)

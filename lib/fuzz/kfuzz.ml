@@ -300,7 +300,6 @@ type result = {
   failures : (int64 * string) list; (* capped example mismatches, seed order *)
 }
 
-let chunk_size = 128
 let max_failures = 32
 
 let key_index key =
@@ -313,15 +312,7 @@ let key_index key =
 
 let run ?(jobs = 1) ?(wall = true) cfg =
   let t0 = if wall then Unix.gettimeofday () else 0.0 in
-  let chunks =
-    let rec go i acc =
-      if i >= cfg.programs then List.rev acc
-      else
-        let e = min cfg.programs (i + chunk_size) in
-        go e ((i, e - i) :: acc)
-    in
-    go 0 []
-  in
+  let chunks = Campaign.chunks_between 0 cfg.programs in
   let run_chunk (lo, len) =
     let m = Machine.create () in
     let tallies = Array.make (Array.length outcome_keys) 0L in
@@ -389,10 +380,9 @@ let pp ppf r =
   end
 
 (* Export through the lib/obs schema, same shape as the instruction
-   campaigns: tallies as spans, scenario count in samples. *)
+   campaigns: tallies as spans, scenario count in param. *)
 let export_entry r =
   let counters = Obs.Counters.create () in
-  Obs.Counters.set_int counters Obs.Counters.samples r.programs_done;
   let spans =
     Array.to_list
       (Array.mapi

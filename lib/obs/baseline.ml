@@ -1,21 +1,19 @@
 (* Loading `BENCH_obs.json`-schema files back into structured form: the
    read half of the differential regression harness.  A baseline is a
    set of benchmark runs keyed by bench/mode/param, each carrying its
-   wall time, counter file, and span aggregates; [Diff] compares two of
-   them.  Accepts cheri-obs-bench/1 (with the `samples` counter), /2
-   (without), /3 (with per-run `sim_mips`; absent in older files and
-   defaulted to 0.0 = unmeasured), /4 (with the superblock-engine
-   telemetry counters, which the diff policy ignores), and /5 (with the
-   kernel domain-crossing detail counters, also diff-ignored); the
-   simulator is deterministic, so a loaded baseline is an exact
-   architectural oracle, not just a dashboard. *)
+   wall time, simulated MIPS, counter file, and span aggregates; [Diff]
+   compares two of them.  Accepts cheri-obs-bench/5 (Export.summary) and
+   cheri-obs-trace/1 (Serve.Sweep.trace_obs_json), which share the file
+   shape; every other schema tag is refused.  The simulator is
+   deterministic, so a loaded baseline is an exact architectural oracle,
+   not just a dashboard. *)
 
 type entry = {
   bench : string;
   mode : string;
   param : int;
   wall_s : float;
-  sim_mips : float; (* schema /3; 0.0 in older files = unmeasured *)
+  sim_mips : float; (* 0.0 = unmeasured *)
   counters : (string * int64) list; (* schema order preserved *)
   spans : (string * (string * int64) list) list;
 }
@@ -26,18 +24,9 @@ type t = {
   entries : entry list;
 }
 
-let supported_schemas =
-  [
-    Export.schema_v1;
-    Export.schema_v2;
-    Export.schema_v3;
-    Export.schema_v4;
-    Export.schema_version;
-    (* The serve trace export (cheri-obs-trace/1) shares the file shape;
-       its spans are latency-histogram field sets, which the arbitrary-
-       integer-field span decoder below already handles. *)
-    Export.schema_trace;
-  ]
+(* The trace export's spans are latency-histogram field sets, which the
+   arbitrary-integer-field span decoder below already handles. *)
+let supported_schemas = [ Export.schema_version; Export.schema_trace ]
 
 (* "bench/mode/param": the identity of a run across baseline files. *)
 let key e = Printf.sprintf "%s/%s/%d" e.bench e.mode e.param
@@ -75,16 +64,7 @@ let entry_of_json i json =
   let* mode = require ctx "mode" Json.to_string_opt json in
   let* param = require ctx "param" Json.to_int_opt json in
   let* wall_s = require ctx "wall_s" Json.to_float_opt json in
-  (* Schema /3 only; absent in /1 and /2 files. *)
-  let* sim_mips =
-    match Json.member "sim_mips" json with
-    | None -> Ok 0.0
-    | Some v -> (
-        match Json.to_float_opt v with
-        | Some f -> Ok f
-        | None ->
-            Error (Printf.sprintf "field %S has the wrong type" (field_ctx ctx "sim_mips")))
-  in
+  let* sim_mips = require ctx "sim_mips" Json.to_float_opt json in
   let* counters_json = require ctx "counters" (fun v -> Some v) json in
   let* counters = int_fields (field_ctx ctx "counters") counters_json in
   let* spans =
@@ -141,8 +121,7 @@ let load path =
 
 (* A live run, in loaded-baseline form: what `bench regress` diffs
    against a committed file without a serialization round trip.  Uses
-   [Export.counter_fields] so the key set matches what [Export] writes
-   (schema /2: no `samples`). *)
+   [Export.counter_fields] so the key set matches what [Export] writes. *)
 let of_entries (entries : Export.entry list) =
   {
     schema = Export.schema_version;

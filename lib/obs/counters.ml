@@ -6,13 +6,13 @@
 
    Represented as one int64 array indexed by the constants below so that
    snapshot, diff, and accumulate are element-wise loops rather than
-   28 lines of record plumbing; [names] gives each index its stable,
-   machine-readable name (the JSON schema key). *)
+   28 lines of record plumbing; [table] gives each index its stable,
+   machine-readable name (the JSON schema key) and its class. *)
 
 type t = int64 array
 
 (* Index constants.  Order is the presentation and schema order; append
-   only — the names array below must stay in sync. *)
+   only — the [table] below must stay in sync. *)
 let instret = 0
 let cycles = 1
 let retired_stores = 2
@@ -42,60 +42,67 @@ let cap_stores = 25
 let branches = 26
 let samples = 27
 
-(* Superblock-engine telemetry (host-side, not architectural): regions
-   translated, block dispatches, and instructions retired inside blocks.
-   Zero under the plain engine; the diff harness must treat them like
-   [samples] — engine configuration, not simulated behaviour. *)
 let sb_translations = 28
 let sb_dispatches = 29
 let sb_retired = 30
-
-(* Kernel domain-crossing detail (schema /5): protected procedure
-   returns and trusted-stack context save/restore counts, complementing
-   the aggregate [ccalls].  Architectural workload behaviour — but new
-   counters are one-sided against older baselines, so the diff harness
-   ignores them like the sb telemetry until baselines are regenerated. *)
 let creturns = 31
 let ctx_saves = 32
 let ctx_restores = 33
 
-let names =
+(* What a counter measures, which decides how every consumer treats it:
+   - [Architectural]: simulated-machine behaviour.  Deterministic, so
+     diffs compare it exactly and engine-comparable exports keep it.
+   - [Host]: interpreter telemetry (the superblock engine's regions
+     translated, block dispatches, and instructions retired inside
+     blocks).  Differs between `--engine plain` and `--engine superblock`
+     runs of the same program, and with translation-cache warmth, so
+     engine-comparable exports zero it and diffs skip it.
+   - [Config]: profiler configuration ([samples]: PC samples taken).  Not
+     exported at all. *)
+type cls = Architectural | Host | Config
+
+(* The one table: schema key and class per index, in index order. *)
+let table =
   [|
-    "instret";
-    "cycles";
-    "retired_stores";
-    "kernel_entries";
-    "syscalls";
-    "ccalls";
-    "loads";
-    "stores";
-    "load_bytes";
-    "store_bytes";
-    "l1i_hits";
-    "l1i_misses";
-    "l1d_hits";
-    "l1d_misses";
-    "l2_hits";
-    "l2_misses";
-    "tlb_hits";
-    "tlb_misses";
-    "tag_hits";
-    "tag_misses";
-    "tag_dram_fills";
-    "dram_read_bytes";
-    "dram_write_bytes";
-    "cap_ops";
-    "cap_loads";
-    "cap_stores";
-    "branches";
-    "samples";
-    "sb_translations";
-    "sb_dispatches";
-    "sb_retired";
-    "creturns";
-    "ctx_saves";
-    "ctx_restores";
+    ("instret", Architectural);
+    ("cycles", Architectural);
+    ("retired_stores", Architectural);
+    ("kernel_entries", Architectural);
+    ("syscalls", Architectural);
+    ("ccalls", Architectural);
+    ("loads", Architectural);
+    ("stores", Architectural);
+    ("load_bytes", Architectural);
+    ("store_bytes", Architectural);
+    ("l1i_hits", Architectural);
+    ("l1i_misses", Architectural);
+    ("l1d_hits", Architectural);
+    ("l1d_misses", Architectural);
+    ("l2_hits", Architectural);
+    ("l2_misses", Architectural);
+    ("tlb_hits", Architectural);
+    ("tlb_misses", Architectural);
+    ("tag_hits", Architectural);
+    ("tag_misses", Architectural);
+    ("tag_dram_fills", Architectural);
+    ("dram_read_bytes", Architectural);
+    ("dram_write_bytes", Architectural);
+    ("cap_ops", Architectural);
+    ("cap_loads", Architectural);
+    ("cap_stores", Architectural);
+    ("branches", Architectural);
+    ("samples", Config);
+    ("sb_translations", Host);
+    ("sb_dispatches", Host);
+    ("sb_retired", Host);
+    ("creturns", Architectural);
+    ("ctx_saves", Architectural);
+    ("ctx_restores", Architectural);
   |]
+
+let names = Array.map fst table
+let class_of i = snd table.(i)
+let is_architectural i = class_of i = Architectural
 
 let count = Array.length names
 
@@ -123,6 +130,10 @@ let accumulate (dst : t) (src : t) =
   for i = 0 to count - 1 do
     dst.(i) <- Int64.add dst.(i) src.(i)
   done
+
+(* A copy with every non-architectural slot zeroed: the engine- and
+   warmth-independent view that deterministic exports serialize. *)
+let architectural (c : t) : t = Array.mapi (fun i v -> if is_architectural i then v else 0L) c
 
 let equal (a : t) (b : t) =
   let rec go i = i >= count || (Int64.equal a.(i) b.(i) && go (i + 1)) in

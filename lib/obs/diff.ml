@@ -1,16 +1,20 @@
 (* The differential half of the regression harness: compare two loaded
-   baselines (Obs.Baseline) run-by-run, counter-by-counter, and classify
+   baselines (Obs.Baseline) run-by-run, field-by-field, and classify
    every delta against a threshold policy.
 
-   The policy encodes the determinism argument: every counter in the
-   file — instret, cycles, cache/TLB/tag events, capability instruction
-   mix, span aggregates — is *architectural* on this simulator, so the
-   policy demands exact equality; only host-side wall-clock numbers
-   (`wall_s`, `sim_mips`, `interp_instr_per_s`) get a tolerance band, and by default
-   exceeding it is reported but not fatal (committed baselines travel
-   across hosts).  `cheri_diff` and `bench regress` exit non-zero iff
-   [ok] is false: an architectural counter changed, or a run appeared
-   or disappeared. *)
+   The simulator is deterministic, so exact equality is demanded of every
+   counter whose class ([Counters.class_of]) is [Architectural] —
+   instret, cycles, cache/TLB/tag events, the capability instruction
+   mix, and the kernel crossing counters (ccalls, creturns, ctx_saves,
+   ctx_restores) — and of every span field (instret/cycles aggregates,
+   latency pseudo-spans, trace histogram fields).  Counters of another
+   class are skipped: host telemetry differs between interpreter engines
+   of the same program.  Only host-timing numbers (`wall_s`, `sim_mips`,
+   `interp_instr_per_s`) get a tolerance band, and by default exceeding
+   it is reported but not fatal (committed baselines travel across
+   hosts).  `cheri_diff` and `bench regress` exit non-zero iff [ok] is
+   false: an architectural field changed, or a run appeared or
+   disappeared. *)
 
 type verdict =
   | Arch_mismatch (* exact-match counter differs: the regression signal *)
@@ -36,36 +40,11 @@ type row = {
 }
 
 type policy = {
-  ignore_counters : string list; (* counter names exempt from comparison *)
   wall_tol_pct : float; (* tolerance band for wall-clock fields *)
   fail_on_wall : bool; (* treat Wall_exceeded as fatal *)
 }
 
-(* `samples` is profiler configuration, not workload behaviour (and
-   schema /1 vs /2 files disagree on whether it exists at all).  The
-   `sb_*` counters are interpreter-engine telemetry: they differ between
-   `--engine plain` and `--engine superblock` runs of the *same*
-   architectural behaviour, so comparing them exactly would turn an
-   engine choice into a spurious regression.  The kernel domain-crossing
-   detail counters (`creturns`, `ctx_saves`, `ctx_restores`, schema /5)
-   are deterministic but one-sided against /1–/4 baselines — exact
-   comparison would flag every pre-/5 file — so they too sit on the
-   ignore list; the serve harness pins them in its own smoke tallies. *)
-let default_policy =
-  {
-    ignore_counters =
-      [
-        "samples";
-        "sb_translations";
-        "sb_dispatches";
-        "sb_retired";
-        "creturns";
-        "ctx_saves";
-        "ctx_restores";
-      ];
-    wall_tol_pct = 50.0;
-    fail_on_wall = false;
-  }
+let default_policy = { wall_tol_pct = 50.0; fail_on_wall = false }
 
 type report = {
   policy : policy;
@@ -114,10 +93,8 @@ let union_names a b =
   let names = List.map fst a in
   names @ List.filter (fun n -> not (List.mem n names)) (List.map fst b)
 
-let compare_assoc ~policy ~key ~prefix a b =
-  let names =
-    List.filter (fun n -> not (List.mem n policy.ignore_counters)) (union_names a b)
-  in
+let compare_assoc ~key ~prefix a b =
+  let names = union_names a b in
   let rows =
     List.filter_map
       (fun name ->
@@ -126,24 +103,31 @@ let compare_assoc ~policy ~key ~prefix a b =
   in
   (List.length names, rows)
 
+(* Counter fields named after a non-architectural counter are skipped;
+   every other field (span and histogram fields included) is exact. *)
+let architectural =
+  List.filter (fun (name, _) ->
+      match Counters.index_of_name name with Some i -> Counters.is_architectural i | None -> true)
+
 let compare_entry ~policy (a : Baseline.entry) (b : Baseline.entry) =
   let key = Baseline.key a in
   let counters_compared, counter_rows =
-    compare_assoc ~policy ~key ~prefix:"counters." a.Baseline.counters b.Baseline.counters
+    compare_assoc ~key ~prefix:"counters." (architectural a.Baseline.counters)
+      (architectural b.Baseline.counters)
   in
   let span_names = union_names a.Baseline.spans b.Baseline.spans in
   let span_results =
     List.map
       (fun name ->
         let fields side = Option.value ~default:[] (List.assoc_opt name side) in
-        compare_assoc ~policy ~key
+        compare_assoc ~key
           ~prefix:("spans." ^ name ^ ".")
           (fields a.Baseline.spans) (fields b.Baseline.spans))
       span_names
   in
   let wall = wall_row ~policy ~key ~field:"wall_s" a.Baseline.wall_s b.Baseline.wall_s in
   (* sim_mips is host timing like wall_s: banded, never exact (and
-     skipped entirely against pre-/3 baselines, where it loads as 0.0). *)
+     skipped when either side is unmeasured, i.e. 0.0). *)
   let mips = wall_row ~policy ~key ~field:"sim_mips" a.Baseline.sim_mips b.Baseline.sim_mips in
   let compared =
     2 + counters_compared + List.fold_left (fun acc (n, _) -> acc + n) 0 span_results

@@ -14,30 +14,14 @@
            "counters": { <counter name>: <int>, ... },
            "spans": { <span name>: { "instret": ..., "cycles": ... }, ... } } ] }
 
-   cheri-obs-bench/3 adds `sim_mips` per run: simulated millions of
-   instructions per host second (instret / wall_s / 1e6; 0.0 when the
-   run's wall clock was not measured) — the per-run resolution of the
-   file-level `interp_instr_per_s` perf trajectory.  Host-timing fields
-   (`wall_s`, `sim_mips`, `interp_instr_per_s`) are never compared
-   exactly by the diff harness, only banded.
-
-   cheri-obs-bench/2 dropped the `samples` counter from the per-run
-   counter object: bench runs attach a classification probe but no
-   sampling profiler, so the field was always zero.
-
-   cheri-obs-bench/4 adds the superblock-engine telemetry counters
-   (`sb_translations`, `sb_dispatches`, `sb_retired`) to the per-run
-   counter object.  Like the host-timing fields they describe the
-   interpreter, not the simulated machine — the diff harness ignores
-   them (Diff.default_policy), so baselines recorded under either
-   `--engine` compare clean against runs under the other.
-
-   cheri-obs-bench/5 adds the kernel domain-crossing detail counters
-   (`creturns`, `ctx_saves`, `ctx_restores`) alongside the aggregate
-   `ccalls`.  They are architectural, but one-sided against /1–/4
-   baselines, so the diff harness ignores them like the sb telemetry;
-   the serve smoke tallies pin them instead.  The baseline loader
-   (Obs.Baseline) accepts /1 through /5 files. *)
+   `sim_mips` is simulated millions of instructions per host second
+   (instret / wall_s / 1e6; 0.0 when the run's wall clock was not
+   measured).  Host-timing fields (`wall_s`, `sim_mips`,
+   `interp_instr_per_s`) are only ever banded by the diff harness, never
+   compared exactly.  The `counters` object carries every counter except
+   the [Config]-class ones ([Counters.class_of]); the diff harness
+   compares its [Architectural] counters exactly and skips the [Host]
+   ones. *)
 
 type entry = {
   bench : string;
@@ -49,10 +33,6 @@ type entry = {
 }
 
 let schema_version = "cheri-obs-bench/5"
-let schema_v1 = "cheri-obs-bench/1"
-let schema_v2 = "cheri-obs-bench/2"
-let schema_v3 = "cheri-obs-bench/3"
-let schema_v4 = "cheri-obs-bench/4"
 
 (* The trace export rides the same file shape (schema / benchmarks /
    counters / spans) with its own schema tag: spans carry per-request-
@@ -69,12 +49,11 @@ let sim_mips e =
   if e.wall_s <= 0.0 then 0.0
   else Int64.to_float (Counters.get e.counters Counters.instret) /. e.wall_s /. 1e6
 
-(* The counter fields a bench export carries: every counter except the
-   profiler's [samples] (meaningless without a profiler attached).
-   Shared with [Baseline.of_entries] so live runs and loaded files
-   compare over exactly the same keys. *)
+(* The counter fields a bench export carries: every counter but the
+   [Config] class.  Shared with [Baseline.of_entries] so live runs and
+   loaded files compare over exactly the same keys. *)
 let counter_fields (c : Counters.t) =
-  List.filter (fun (name, _) -> name <> "samples") (Counters.to_assoc c)
+  List.filteri (fun i _ -> Counters.class_of i <> Counters.Config) (Counters.to_assoc c)
 
 let entry_to_json e =
   Json.Obj

@@ -7,8 +7,8 @@
    ([Machine.set_step_hook]), which both interpreter engines invoke at
    exactly the same architectural points — so the sample boundaries,
    and therefore the series, are identical under --engine plain and
-   --engine superblock (host-side sb_* counters aside; [sanitize]
-   zeroes those for engine-comparable exports).  Sampling never touches
+   --engine superblock (host-class counters aside; [sanitize] zeroes
+   those for engine-comparable exports).  Sampling never touches
    architectural state: a tick reads the counter file and allocates on
    the host, nothing more.
 
@@ -84,18 +84,13 @@ let append src ~instret_offset ~cycles_offset ~into =
       into.count <- into.count + 1)
     (samples src)
 
-(* Zero the host-side counters (profiler samples, superblock telemetry)
-   in every delta, so serialized series compare byte-identical across
+(* Zero the non-architectural counters ([Counters.architectural]) in
+   every delta, so serialized series compare byte-identical across
    interpreter engines — the same discipline as the serve sweep's
-   architectural-counter exports. *)
+   counter exports. *)
 let sanitize t =
-  List.iter
-    (fun s ->
-      Counters.set_int s.delta Counters.samples 0;
-      Counters.set_int s.delta Counters.sb_translations 0;
-      Counters.set_int s.delta Counters.sb_dispatches 0;
-      Counters.set_int s.delta Counters.sb_retired 0)
-    t.rev_samples
+  t.rev_samples <-
+    List.map (fun s -> { s with delta = Counters.architectural s.delta }) t.rev_samples
 
 (* --- Chrome counter-track export ------------------------------------------ *)
 

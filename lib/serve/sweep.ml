@@ -484,16 +484,7 @@ let pp_result ppf r =
 (* --- JSON export (cheri-serve/1) ------------------------------------------ *)
 
 (* The serve JSON must be byte-identical across interpreter engines, so
-   zero the superblock host-side counters (the obs-schema export keeps
-   them; the diff policy ignores them there). *)
-let architectural_counters c =
-  let c = Obs.Counters.copy c in
-  Obs.Counters.set_int c Obs.Counters.samples 0;
-  Obs.Counters.set_int c Obs.Counters.sb_translations 0;
-  Obs.Counters.set_int c Obs.Counters.sb_dispatches 0;
-  Obs.Counters.set_int c Obs.Counters.sb_retired 0;
-  c
-
+   every counter export zeroes the non-architectural counters. *)
 let point_to_json pr =
   let s = sorted_latencies pr in
   Obs.Json.Obj
@@ -515,7 +506,7 @@ let point_to_json pr =
             ("p90", Obs.Json.Int (Int64.of_int (percentile s 0.90)));
             ("p99", Obs.Json.Int (Int64.of_int (percentile s 0.99)));
           ] );
-      ("counters", Obs.Counters.to_json (architectural_counters pr.counters));
+      ("counters", Obs.Counters.to_json (Obs.Counters.architectural pr.counters));
       ( "ccall_span",
         Obs.Json.Obj
           [
@@ -572,15 +563,13 @@ let obs_entries r =
   List.map
     (fun pr ->
       let s = sorted_latencies pr in
-      (* Architectural counters only (sb_* / samples zeroed): those
-         host-side fields depend on how warm the engine's translation
-         caches are, so leaving them in would make the export differ
-         between warm-pool and --cold runs of the same sweep.  The diff
-         policy already ignores them, so committed baselines that
-         predate the zeroing still compare clean. *)
+      (* Architectural counters only: host-class fields depend on how
+         warm the engine's translation caches are, so leaving them in
+         would make the export differ between warm-pool and --cold runs
+         of the same sweep. *)
       let spans =
         (if Int64.equal (Obs.Counters.get pr.ccall_span Obs.Counters.instret) 0L then []
-         else [ ("ccall", architectural_counters pr.ccall_span) ])
+         else [ ("ccall", Obs.Counters.architectural pr.ccall_span) ])
         @ [
             pseudo_span "lat_p50" (percentile s 0.50);
             pseudo_span "lat_p99" (percentile s 0.99);
@@ -599,7 +588,7 @@ let obs_entries r =
         mode = Scenario.isolation_name pr.point.isolation;
         param = pr.point.n;
         wall_s = pr.wall_s;
-        counters = architectural_counters pr.counters;
+        counters = Obs.Counters.architectural pr.counters;
         spans;
       })
     r.points
@@ -641,7 +630,7 @@ let trace_obs_json r =
     ]
   in
   let entry pr =
-    let c = architectural_counters pr.counters in
+    let c = Obs.Counters.architectural pr.counters in
     let spans =
       List.map (fun h -> (h.Obs.Hist.name, Obs.Json.Obj (hist_fields h)))
         (Array.to_list pr.class_hists @ Array.to_list pr.comp_hists)

@@ -390,12 +390,13 @@ let test_export_schema () =
   Alcotest.(check bool) "schema tag present" true
     (contains (Printf.sprintf {|"schema":%S|} Obs.Export.schema_version) json);
   Alcotest.(check bool) "sim_mips exported" true (contains {|"sim_mips":|} json);
-  (* Every counter name except the dropped `samples` appears as a key. *)
-  Array.iter
-    (fun name ->
+  (* Every counter name except the Config-class ones appears as a key. *)
+  Array.iteri
+    (fun i name ->
+      let exported = Obs.Counters.class_of i <> Obs.Counters.Config in
       Alcotest.(check bool)
-        (Printf.sprintf "counter %s %s" name (if name = "samples" then "dropped" else "exported"))
-        (name <> "samples")
+        (Printf.sprintf "counter %s %s" name (if exported then "exported" else "dropped"))
+        exported
         (contains (Printf.sprintf "%S:" name) json))
     Obs.Counters.names;
   Alcotest.(check bool)
@@ -439,61 +440,29 @@ let test_baseline_roundtrip () =
     (Some (Obs.Counters.get r.Exp.Bench_run.counters Obs.Counters.instret))
     (List.assoc_opt "instret" e.Obs.Baseline.counters)
 
-let v1_doc =
-  {|{"schema":"cheri-obs-bench/1","interp_instr_per_s":1000.0,
-     "benchmarks":[{"bench":"treeadd","mode":"cheri","param":6,"wall_s":0.5,
-       "counters":{"instret":100,"cycles":200,"samples":0},
-       "spans":{"alloc":{"instret":10,"cycles":20}}}]}|}
-
-(* /2 dropped `samples` from exports; entries otherwise look like /1. *)
-let v2_doc =
-  {|{"schema":"cheri-obs-bench/2","interp_instr_per_s":1000.0,
-     "benchmarks":[{"bench":"treeadd","mode":"cheri","param":6,"wall_s":0.5,
-       "counters":{"instret":100,"cycles":200},
-       "spans":{"alloc":{"instret":10,"cycles":20}}}]}|}
-
-(* /3 added a per-entry `sim_mips` throughput field. *)
-let v3_doc =
-  {|{"schema":"cheri-obs-bench/3","interp_instr_per_s":1000.0,
+let v5_doc =
+  {|{"schema":"cheri-obs-bench/5","interp_instr_per_s":1000.0,
      "benchmarks":[{"bench":"treeadd","mode":"cheri","param":6,"wall_s":0.5,
        "sim_mips":4.25,
        "counters":{"instret":100,"cycles":200},
        "spans":{"alloc":{"instret":10,"cycles":20}}}]}|}
 
 let test_baseline_versions () =
-  (match Obs.Baseline.of_string v1_doc with
-  | Error msg -> Alcotest.failf "schema /1 rejected: %s" msg
+  (match Obs.Baseline.of_string v5_doc with
+  | Error msg -> Alcotest.failf "schema /5 rejected: %s" msg
   | Ok t ->
-      Alcotest.(check string) "v1 schema kept" "cheri-obs-bench/1" t.Obs.Baseline.schema;
+      Alcotest.(check string) "schema kept" "cheri-obs-bench/5" t.Obs.Baseline.schema;
       let e = List.hd t.Obs.Baseline.entries in
       Alcotest.(check string) "key" "treeadd/cheri/6" (Obs.Baseline.key e);
-      Alcotest.(check (option int64))
-        "v1 samples loaded" (Some 0L)
-        (List.assoc_opt "samples" e.Obs.Baseline.counters);
       Alcotest.(check (option (list (pair string int64))))
         "span fields loaded"
         (Some [ ("instret", 10L); ("cycles", 20L) ])
         (List.assoc_opt "alloc" e.Obs.Baseline.spans);
-      (* Pre-/3 files have no sim_mips; the loader defaults it. *)
-      Alcotest.(check (float 0.0)) "v1 sim_mips defaults" 0.0 e.Obs.Baseline.sim_mips);
-  (match Obs.Baseline.of_string v2_doc with
-  | Error msg -> Alcotest.failf "schema /2 rejected: %s" msg
-  | Ok t ->
-      Alcotest.(check string) "v2 schema kept" "cheri-obs-bench/2" t.Obs.Baseline.schema;
-      let e = List.hd t.Obs.Baseline.entries in
-      Alcotest.(check string) "v2 key" "treeadd/cheri/6" (Obs.Baseline.key e);
-      Alcotest.(check (float 0.0)) "v2 sim_mips defaults" 0.0 e.Obs.Baseline.sim_mips);
-  (match Obs.Baseline.of_string v3_doc with
-  | Error msg -> Alcotest.failf "schema /3 rejected: %s" msg
-  | Ok t ->
-      Alcotest.(check string) "v3 schema kept" "cheri-obs-bench/3" t.Obs.Baseline.schema;
-      let e = List.hd t.Obs.Baseline.entries in
-      Alcotest.(check string) "v3 key" "treeadd/cheri/6" (Obs.Baseline.key e);
-      Alcotest.(check (float 0.0001)) "v3 sim_mips loaded" 4.25 e.Obs.Baseline.sim_mips);
-  (* sim_mips must be a number when present. *)
+      Alcotest.(check (float 0.0001)) "sim_mips loaded" 4.25 e.Obs.Baseline.sim_mips);
+  (* sim_mips must be a number. *)
   (match
      Obs.Baseline.of_string
-       {|{"schema":"cheri-obs-bench/3","interp_instr_per_s":1.0,
+       {|{"schema":"cheri-obs-bench/5","interp_instr_per_s":1.0,
           "benchmarks":[{"bench":"a","mode":"m","param":1,"wall_s":0.1,
             "sim_mips":"fast","counters":{}}]}|}
    with
@@ -512,55 +481,62 @@ let test_baseline_versions () =
   in
   reject {|{"schema":"cheri-obs-bench/99","interp_instr_per_s":1.0,"benchmarks":[]}|}
     "unsupported schema";
+  (* Pre-/5 files are no longer loaded. *)
+  reject {|{"schema":"cheri-obs-bench/4","interp_instr_per_s":1.0,"benchmarks":[]}|}
+    "unsupported schema";
   reject
-    {|{"schema":"cheri-obs-bench/2","interp_instr_per_s":1.0,
-       "benchmarks":[{"bench":"a","mode":"m","param":1,"wall_s":0.1,"counters":{}},
-                     {"bench":"a","mode":"m","param":1,"wall_s":0.1,"counters":{}}]}|}
+    {|{"schema":"cheri-obs-bench/5","interp_instr_per_s":1.0,
+       "benchmarks":[{"bench":"a","mode":"m","param":1,"wall_s":0.1,"counters":{}}]}|}
+    "sim_mips";
+  reject
+    {|{"schema":"cheri-obs-bench/5","interp_instr_per_s":1.0,
+       "benchmarks":[{"bench":"a","mode":"m","param":1,"wall_s":0.1,"sim_mips":0.0,"counters":{}},
+                     {"bench":"a","mode":"m","param":1,"wall_s":0.1,"sim_mips":0.0,"counters":{}}]}|}
     "duplicate";
-  reject {|{"schema":"cheri-obs-bench/2","interp_instr_per_s":1.0,
-            "benchmarks":[{"mode":"m","param":1,"wall_s":0.1,"counters":{}}]}|}
+  reject {|{"schema":"cheri-obs-bench/5","interp_instr_per_s":1.0,
+            "benchmarks":[{"mode":"m","param":1,"wall_s":0.1,"sim_mips":0.0,"counters":{}}]}|}
     "bench"
 
 (* The differ: exact-match architectural counters decide the exit code;
-   wall clock only gets a band; `samples` deltas are ignored. *)
+   wall clock only gets a band; counters of another class are skipped. *)
 let test_diff_policy () =
   let parse doc =
     match Obs.Baseline.of_string doc with
     | Ok t -> t
     | Error msg -> Alcotest.failf "bad fixture: %s" msg
   in
-  let doc counters wall =
+  let doc ?(span_cycles = 7) counters wall =
     Printf.sprintf
-      {|{"schema":"cheri-obs-bench/1","interp_instr_per_s":1000.0,
-         "benchmarks":[{"bench":"b","mode":"m","param":1,"wall_s":%s,
-           "counters":{%s},"spans":{"alloc":{"cycles":7}}}]}|}
-      wall counters
+      {|{"schema":"cheri-obs-bench/5","interp_instr_per_s":1000.0,
+         "benchmarks":[{"bench":"b","mode":"m","param":1,"wall_s":%s,"sim_mips":0.0,
+           "counters":{%s},"spans":{"alloc":{"cycles":%d}}}]}|}
+      wall counters span_cycles
   in
-  let a = parse (doc {|"instret":100,"samples":3|} "1.0") in
+  let base = {|"instret":100,"creturns":2,"sb_retired":5,"samples":3|} in
+  let a = parse (doc base "1.0") in
   (* identical -> ok, exit 0 *)
   let r = Obs.Diff.run a a in
   Alcotest.(check bool) "identical ok" true (Obs.Diff.ok r);
   Alcotest.(check int) "identical exit 0" 0 (Obs.Diff.exit_code r);
   (* an architectural counter differs -> regression, exit 1 *)
-  let b = parse (doc {|"instret":101,"samples":3|} "1.0") in
-  let r = Obs.Diff.run a b in
-  Alcotest.(check bool) "arch delta not ok" false (Obs.Diff.ok r);
-  Alcotest.(check int) "arch delta exit 1" 1 (Obs.Diff.exit_code r);
-  Alcotest.(check int) "one arch mismatch" 1 r.Obs.Diff.arch_mismatches;
-  (* samples differs (v1 vs probe config) -> ignored by policy *)
-  let c = parse (doc {|"instret":100,"samples":999|} "1.0") in
-  Alcotest.(check bool) "samples ignored" true (Obs.Diff.ok (Obs.Diff.run a c));
+  List.iter
+    (fun (what, counters) ->
+      let r = Obs.Diff.run a (parse (doc counters "1.0")) in
+      Alcotest.(check bool) (what ^ " delta not ok") false (Obs.Diff.ok r);
+      Alcotest.(check int) (what ^ " delta exit 1") 1 (Obs.Diff.exit_code r);
+      Alcotest.(check int) (what ^ ": one arch mismatch") 1 r.Obs.Diff.arch_mismatches)
+    [
+      ("instret", {|"instret":101,"creturns":2,"sb_retired":5,"samples":3|});
+      ("creturns", {|"instret":100,"creturns":3,"sb_retired":5,"samples":3|});
+    ];
+  (* host telemetry and profiler configuration differ -> skipped *)
+  let c = parse (doc {|"instret":100,"creturns":2,"sb_retired":99,"samples":999|} "1.0") in
+  Alcotest.(check bool) "host/config counters skipped" true (Obs.Diff.ok (Obs.Diff.run a c));
   (* a span counter differs -> architectural *)
-  let d =
-    parse
-      {|{"schema":"cheri-obs-bench/1","interp_instr_per_s":1000.0,
-         "benchmarks":[{"bench":"b","mode":"m","param":1,"wall_s":1.0,
-           "counters":{"instret":100,"samples":3},"spans":{"alloc":{"cycles":8}}}]}|}
-  in
-  let r = Obs.Diff.run a d in
+  let r = Obs.Diff.run a (parse (doc ~span_cycles:8 base "1.0")) in
   Alcotest.(check bool) "span delta not ok" false (Obs.Diff.ok r);
   (* wall clock out of band -> flagged but not fatal by default *)
-  let e = parse (doc {|"instret":100,"samples":3|} "10.0") in
+  let e = parse (doc base "10.0") in
   let r = Obs.Diff.run a e in
   Alcotest.(check bool) "wall delta ok by default" true (Obs.Diff.ok r);
   Alcotest.(check int) "wall delta flagged" 1 r.Obs.Diff.wall_flagged;
@@ -570,7 +546,7 @@ let test_diff_policy () =
     (Obs.Diff.ok (Obs.Diff.run ~policy:strict a e));
   (* a run missing on one side -> regression both ways *)
   let none =
-    parse {|{"schema":"cheri-obs-bench/1","interp_instr_per_s":1000.0,"benchmarks":[]}|}
+    parse {|{"schema":"cheri-obs-bench/5","interp_instr_per_s":1000.0,"benchmarks":[]}|}
   in
   let r = Obs.Diff.run a none in
   Alcotest.(check int) "missing counted" 1 r.Obs.Diff.missing;

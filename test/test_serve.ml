@@ -289,6 +289,94 @@ let test_class_hists_partition () =
         comp_total)
     r.Serve.Sweep.points
 
+(* --- counter classes through the exports ------------------------------ *)
+
+(* A small traced compart sweep, shared by the tests below. *)
+let small_sweep =
+  lazy
+    (Serve.Sweep.run
+       {
+         Serve.Sweep.default_cfg with
+         Serve.Sweep.requests = 128;
+         ns = [ 2 ];
+         no_wall = true;
+         trace = Some { Serve.Sweep.stride = 4; capacity = 1 lsl 12; series = Some 10_000 };
+       })
+
+(* The sweep's obs export with counter slot [i] of the compart entry
+   bumped by one. *)
+let bumped_entries r i =
+  List.map
+    (fun (e : Obs.Export.entry) ->
+      if e.Obs.Export.mode <> "compart" then e
+      else
+        let c = Obs.Counters.copy e.Obs.Export.counters in
+        Obs.Counters.incr c i;
+        { e with Obs.Export.counters = c })
+    (Serve.Sweep.obs_entries r)
+
+let diff_ok a b = Obs.Diff.ok (Obs.Diff.run (Obs.Baseline.of_entries a) (Obs.Baseline.of_entries b))
+
+(* One extra CReturn is a regression: the kernel crossing counters are
+   architectural, so the differ compares them exactly. *)
+let test_creturn_delta_caught () =
+  let r = Lazy.force small_sweep in
+  let live = Serve.Sweep.obs_entries r in
+  List.iter
+    (fun (e : Obs.Export.entry) ->
+      if e.Obs.Export.mode = "compart" then
+        Alcotest.(check bool) "compart sweep returns across domains" true
+          (Obs.Counters.get e.Obs.Export.counters Obs.Counters.creturns > 0L))
+    live;
+  Alcotest.(check bool) "live == live" true (diff_ok live live);
+  Alcotest.(check bool) "creturns + 1 flagged" false
+    (diff_ok live (bumped_entries r Obs.Counters.creturns))
+
+(* Every counter index, one rule: bumping the slot moves the diff verdict,
+   the cheri-serve JSON, and the sanitized series iff the counter's class
+   is Architectural. *)
+let test_counter_classes_table () =
+  let r = Lazy.force small_sweep in
+  let live = Serve.Sweep.obs_entries r in
+  let report = Obs.Json.to_string (Serve.Sweep.to_json r) in
+  let series_bytes s =
+    String.concat ";"
+      (List.map
+         (fun (smp : Obs.Series.sample) -> Obs.Json.to_string (Obs.Counters.to_json smp.Obs.Series.delta))
+         (Obs.Series.samples s))
+  in
+  let series =
+    match (List.hd r.Serve.Sweep.points).Serve.Sweep.series with
+    | Some s -> s
+    | None -> Alcotest.fail "traced sweep lost its series"
+  in
+  Alcotest.(check bool) "series sampled" true (Obs.Series.count series > 0);
+  for i = 0 to Obs.Counters.count - 1 do
+    let arch = Obs.Counters.is_architectural i in
+    let name = Obs.Counters.names.(i) in
+    Alcotest.(check bool) (name ^ ": diff ok iff not architectural") (not arch)
+      (diff_ok live (bumped_entries r i));
+    let bumped_report =
+      let points =
+        List.map
+          (fun (pr : Serve.Sweep.point_result) ->
+            let c = Obs.Counters.copy pr.Serve.Sweep.counters in
+            Obs.Counters.incr c i;
+            { pr with Serve.Sweep.counters = c })
+          r.Serve.Sweep.points
+      in
+      Obs.Json.to_string (Serve.Sweep.to_json { r with Serve.Sweep.points })
+    in
+    Alcotest.(check bool) (name ^ ": serve JSON moves iff architectural") arch
+      (not (String.equal report bumped_report));
+    let s = Obs.Series.copy series in
+    List.iter (fun (smp : Obs.Series.sample) -> Obs.Counters.incr smp.Obs.Series.delta i)
+      (Obs.Series.samples s);
+    Obs.Series.sanitize s;
+    Alcotest.(check bool) (name ^ ": sanitized series moves iff architectural") arch
+      (not (String.equal (series_bytes series) (series_bytes s)))
+  done
+
 let suites =
   [
     ( "serve-workload",
@@ -313,5 +401,7 @@ let suites =
         Alcotest.test_case "class hists partition" `Quick test_class_hists_partition;
         Alcotest.test_case "warm = cold bit-identical" `Quick test_warm_cold_bit_identical;
         Alcotest.test_case "non-power-of-two rejected" `Quick test_non_power_of_two_rejected;
+        Alcotest.test_case "creturn delta caught" `Quick test_creturn_delta_caught;
+        Alcotest.test_case "counter classes table" `Quick test_counter_classes_table;
       ] );
   ]
