@@ -275,8 +275,9 @@ loop:
 |}
   in
   let before = m.Machine.cycles in
-  let code, _ = Os.Kernel.run_program k source in
-  assert (code = 0);
+  (match Os.Kernel.run_program k source with
+  | Machine.Exited 0, _ -> ()
+  | r, _ -> failwith (Fmt.str "%a" Machine.pp_run_result r));
   let cycles = m.Machine.cycles - before in
   let per_iter = float_of_int cycles /. 10000.0 in
   (* 5 instructions per iteration; 3 are capability manipulations. *)
@@ -376,7 +377,7 @@ let micro ~quick () =
     Test.make ~name:"interpreter: 200-instruction loop"
       (Staged.stage (fun () ->
            m.Machine.pc <- program.Asm.Assembler.entry;
-           ignore (Machine.run ~max_insns:1_000L m)))
+           ignore (Machine.run_result ~max_insns:1_000L m : Machine.run_result)))
   in
   let cache =
     let c = Mem.Cache.create ~name:"bench" ~size_bytes:16384 ~line_bytes:32 ~assoc:4 in
@@ -403,7 +404,7 @@ let micro ~quick () =
     Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
     Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
     m.Machine.pc <- program.Asm.Assembler.entry;
-    ignore (Machine.run ~max_insns:1_000L m);
+    ignore (Machine.run_result ~max_insns:1_000L m : Machine.run_result);
     (* warm *)
     Test.make ~name:"step, decode-cache hit (1 insn)"
       (Staged.stage (fun () ->
@@ -426,7 +427,7 @@ let micro ~quick () =
     Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
     Machine.set_engine m Machine.Superblock;
     m.Machine.pc <- program.Asm.Assembler.entry;
-    ignore (Machine.run ~max_insns:1_000L m);
+    ignore (Machine.run_result ~max_insns:1_000L m : Machine.run_result);
     (* warm: blocks formed *)
     Test.make ~name:"sb_step, superblock dispatch (1 block)"
       (Staged.stage (fun () ->

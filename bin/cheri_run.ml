@@ -89,7 +89,10 @@ let run file disasm markers stats max_insns trace_file series events_file engine
           | Some tr, Beri.Insn.M_phase_end -> Obs.Trace.phase_end tr ~ts:m.Machine.cycles
           | _ -> ()));
   Os.Kernel.exec kernel program;
-  let code = Machine.run ~max_insns machine in
+  let result = Machine.run_result ~max_insns machine in
+  (match result with
+  | Machine.Exited _ -> ()
+  | r -> Fmt.epr "[machine] %a@." Machine.pp_run_result r);
   close_events ();
   (match (trace_file, trace) with
   | Some path, Some tr ->
@@ -107,7 +110,7 @@ let run file disasm markers stats max_insns trace_file series events_file engine
     Fmt.epr "%a@." Obs.Counters.pp (Machine.read_counters machine);
     Fmt.epr "%a@." Mem.Hierarchy.pp_stats machine.Machine.hier
   end;
-  exit code
+  exit (Machine.exit_code result)
 
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM.S")
 let disasm = Arg.(value & flag & info [ "disasm" ] ~doc:"Print a disassembly before running.")

@@ -44,7 +44,11 @@ let compile file mode output run_it =
           (Beri.Cp0.exc_to_string fault.Os.Kernel.exc)
           (Cap.Cause.to_string fault.Os.Kernel.capcause);
         Machine.Halt 139);
-    let code, console = Os.Kernel.run_program kernel asm in
+    let result, console = Os.Kernel.run_program kernel asm in
+    (match result with
+    | Machine.Exited _ -> ()
+    | r -> Fmt.epr "[machine] %a@." Machine.pp_run_result r);
+    let code = Machine.exit_code result in
     print_string console;
     Fmt.epr "[%s] exit=%d cycles=%d instructions=%d@." (Minic.Layout.mode_name mode) code
       machine.Machine.cycles machine.Machine.instret;

@@ -73,7 +73,8 @@ let () =
   Os.Kernel.set_fault_handler kernel (fun _k fault ->
       trap := Some fault.Os.Kernel.capcause;
       Machine.Halt 77);
-  let exit_code, console = Os.Kernel.run_program kernel program in
+  let result, console = Os.Kernel.run_program kernel program in
+  let exit_code = Machine.exit_code result in
   Fmt.pr "compartment digest printed by main: %s@." (String.trim console);
   Fmt.pr "protected calls taken (kernel trusted stack): %d@." kernel.Os.Kernel.ccalls;
   Fmt.pr "main's later direct read of the sealed data: %s (exit %d)@."

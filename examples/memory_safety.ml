@@ -44,8 +44,8 @@ let run mode =
   Os.Kernel.set_fault_handler kernel (fun _k fault ->
       trap := Some fault.Os.Kernel.capcause;
       Machine.Halt 139);
-  let exit_code, console = Os.Kernel.run_program kernel asm in
-  (exit_code, String.trim console, !trap)
+  let result, console = Os.Kernel.run_program kernel asm in
+  (Machine.exit_code result, String.trim console, !trap)
 
 let () =
   Fmt.pr "One buggy C program, three pointer lowerings:@.@.";

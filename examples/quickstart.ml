@@ -55,7 +55,8 @@ let () =
         (Cap.Cause.to_string fault.Os.Kernel.capcause)
         fault.Os.Kernel.capreg;
       Machine.Halt 42);
-  let exit_code, console = Os.Kernel.run_program kernel program in
+  let result, console = Os.Kernel.run_program kernel program in
+  let exit_code = Machine.exit_code result in
   Fmt.pr "console output: %s@." (String.trim console);
   Fmt.pr "exit code: %d (42 = our fault handler ran)@." exit_code;
   Fmt.pr "cycles: %d, instructions: %d@." machine.Machine.cycles machine.Machine.instret;

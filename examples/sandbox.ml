@@ -42,7 +42,7 @@ let () =
   Os.Kernel.set_fault_handler kernel (fun _k fault ->
       Fmt.pr "%s@." (Os.Sandbox.fault_report sandbox fault);
       Machine.Halt 55);
-  let exit_code = Machine.run ~max_insns:10_000L machine in
+  let exit_code = Machine.exit_code (Machine.run_result ~max_insns:10_000L machine) in
   Os.Sandbox.leave machine sandbox;
   (* The in-sandbox store was relocated: sandbox-relative 0x100 landed at
      physical 0x80100, not 0x100. *)

@@ -59,7 +59,7 @@ let () =
         stats := Some (Os.Revoke.revoke m ~base:a ~length:32L)
       end);
   Os.Kernel.exec kernel parsed;
-  let exit_code = Machine.run ~max_insns:10_000L machine in
+  let exit_code = Machine.exit_code (Machine.run_result ~max_insns:10_000L machine) in
   (match !stats with
   | Some s ->
       Fmt.pr

@@ -13,6 +13,11 @@
    3. Memory-latency sensitivity: the Figure 5 plateau as a function of
       the DRAM penalty, showing the slowdown is miss-driven. *)
 
+let run_to_exit_0 k asm =
+  match Os.Kernel.run_program ~max_insns:200_000_000L k asm with
+  | Machine.Exited 0, _ -> ()
+  | r, _ -> failwith (Fmt.str "ablation run: %a" Machine.pp_run_result r)
+
 (* --- 1: capability width ---------------------------------------------------- *)
 
 type width_row = {
@@ -66,8 +71,7 @@ let tag_cache_sweep ?(sizes = [ 256; 1024; 4096; 8192; 16384 ]) ?jobs () =
         Olden.Minic_src.instantiate (List.assoc "treeadd" Olden.Minic_src.all) ~param:13
       in
       let asm = Minic.Driver.compile ~mode:Minic.Layout.Cheri src in
-      let code, _ = Os.Kernel.run_program ~max_insns:200_000_000L k asm in
-      assert (code = 0);
+      run_to_exit_0 k asm;
       (* The fill ratio comes straight off the obs counter file rather
          than reaching into the hierarchy's internals. *)
       let c = Machine.read_counters m in
@@ -104,8 +108,7 @@ let latency_sweep ?(latencies = [ 4; 12; 30; 60 ]) ?jobs () =
         let asm = Minic.Driver.compile ~mode src in
         let m = Machine.create ~config () in
         let k = Os.Kernel.attach m in
-        let code, _ = Os.Kernel.run_program ~max_insns:200_000_000L k asm in
-        assert (code = 0);
+        run_to_exit_0 k asm;
         Int64.of_int m.Machine.cycles
       in
       let legacy = run Minic.Layout.Legacy in

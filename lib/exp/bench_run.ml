@@ -88,7 +88,11 @@ let run ?(max_insns = 20_000_000_000L) ?(iters = 1) ?(big_mem = false) ?engine ?
           | Some bus -> Obs.Event.emit bus ~kind:"alloc" [ ("bytes", Obs.Json.Int a) ]
           | None -> ())
       | Beri.Insn.M_free -> ());
-  let exit_code, console = Os.Kernel.run_program ~max_insns k asm in
+  let result, console = Os.Kernel.run_program ~max_insns k asm in
+  (match result with
+  | Machine.Exited _ -> ()
+  | r -> Fmt.epr "[%s/%s] %a@." bench (Minic.Layout.mode_name mode) Machine.pp_run_result r);
+  let exit_code = Machine.exit_code result in
   Obs.Span.close_all span;
   (match inspect with Some f -> f m | None -> ());
   let counters = Os.Kernel.read_counters k in

@@ -11,9 +11,9 @@
 
    Unlike [Lockstep], the comparison is per *run*, not per retirement:
    stepping the superblock machine one instruction at a time (or hanging
-   a step hook off it) would force its hook-aware paths and leave the
-   unhooked fast loop — the code that actually runs full-size
-   benchmarks — untested.  The store stream closes the per-step
+   a step hook off it, which selects the plain path) would leave the
+   block loop — the code that actually runs full-size benchmarks —
+   untested.  The store stream closes the per-step
    observability gap: every store an instruction performs is folded
    (address, kind, payload) into a running digest through the machine's
    store hook, which fires identically under both engines and does not

@@ -348,21 +348,15 @@ let exec t (program : Asm.Assembler.program) =
   m.Machine.pc <- program.Asm.Assembler.entry;
   t.brk <- Layout.heap_base
 
-(* Convenience: assemble, boot, run to completion; returns (exit code,
-   console output). *)
-let run_program ?(max_insns = 200_000_000L) t source =
-  let program = Asm.Assembler.assemble source in
-  exec t program;
-  let code = Machine.run ~max_insns t.machine in
-  (code, console t)
-
-(* Structured variant for campaign drivers: boot a pre-assembled program
-   and report the full [Machine.run_result] (plus console output) instead
-   of collapsing abnormal outcomes to an exit code. *)
+(* Boot a pre-assembled program, run it, and report the
+   [Machine.run_result] plus console output. *)
 let run_result ?(max_insns = 200_000_000L) ?watchdog t program =
   exec t program;
   let result = Machine.run_result ~max_insns ?watchdog t.machine in
   (result, console t)
+
+(* Convenience: [run_result] from assembly source. *)
+let run_program ?max_insns t source = run_result ?max_insns t (Asm.Assembler.assemble source)
 
 (* --- kernel checkpoint / restore ---------------------------------------- *)
 

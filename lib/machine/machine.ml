@@ -21,12 +21,13 @@ type exn_ctx = { exc : Cp0.exc; victim_pc : int64 }
 type kernel_action =
   | Resume_at of int64 (* continue execution at this PC *)
   | Halt of int (* stop the machine with this exit code *)
-  | Fatal (* the kernel cannot handle it: [run] reports [Trap_unhandled] *)
+  | Fatal (* the kernel cannot handle it: [run_result] reports [Trap_unhandled] *)
 
 exception Halted of int
 
-(* Raised by [step] when the kernel returns [Fatal]; [run] catches it and
-   turns it into a [Trap_unhandled] result with a diagnostic snapshot. *)
+(* Raised by [step] when the kernel returns [Fatal]; [run_result] catches
+   it and turns it into a [Trap_unhandled] result with a diagnostic
+   snapshot. *)
 exception Unhandled of exn_ctx
 
 (* Raised internally while executing one instruction; [step] catches it. *)
@@ -87,21 +88,26 @@ type t = {
   mutable on_trace : t -> Insn.marker -> int64 -> int64 -> unit;
   mutable on_step : (t -> unit) option;
       (* called before each instruction; [None] (the default) keeps the
-         hot path free of any per-step work.  Fault injectors hook here. *)
+         hot path free of any per-step work.  Fault injectors hook here,
+         and may write any architectural state: while a hook is set the
+         superblock engine retires through [step] alone. *)
   mutable probe : Obs.Probe.t option;
       (* observability hook (lib/obs): instruction classification, PC
          sampling, and shadow-call-stack tracking.  [None] (the default)
-         costs one match per step and nothing else; a probe never touches
-         architectural state or the cycle count, so probed and unprobed
-         runs are architecturally identical. *)
+         costs one match per step and nothing else.  A probe runs inside
+         superblocks, whose fetch checks are hoisted per block, so it
+         must never write architectural state or the cycle count; probed
+         and unprobed runs are then architecturally identical. *)
   mutable on_store : (int64 -> int -> int64 -> unit) option;
       (* store-stream observer: [f addr kind payload] after every retired
          store.  [kind] is the access width in bytes for a scalar store;
          0 marks a capability store, whose payload is a digest of the
          stored capability's architectural fields ([cap_digest]).  [None]
-         (the default) costs one match per store.  The differential
-         fuzzer diffs this stream across capability widths, so the
-         payload must not depend on the in-memory image format. *)
+         (the default) costs one match per store.  Like the probe it runs
+         inside superblocks, so it must not write architectural state.
+         The differential fuzzer diffs this stream across capability
+         widths, so the payload must not depend on the in-memory image
+         format. *)
   mutable timing : bool; (* drive the cache/TLB model (off = fast functional mode) *)
   mutable stores : int; (* retired stores, of any width (hang-detector fuel) *)
   mutable kernel_entries : int; (* exceptions dispatched to the kernel *)
@@ -263,8 +269,8 @@ let snoop_store t ~addr ~size =
 (* --- diagnostic snapshots ---------------------------------------------- *)
 
 (* A self-contained picture of the architectural state, attached to every
-   abnormal [run] outcome so campaigns and tests get a diagnosable failure
-   instead of a bare backtrace. *)
+   abnormal [run_result] outcome so campaigns and tests get a diagnosable
+   failure instead of a bare backtrace. *)
 type snapshot = {
   snap_cause : string;
   snap_pc : int64;
@@ -324,7 +330,7 @@ let pp_snapshot ppf s =
     s.snap_caps;
   Fmt.pf ppf "@,pcc = %a@]" Cap.Capability.pp s.snap_pcc
 
-(* How a [run] ended.  Every abnormal outcome carries a snapshot; none of
+(* How a [run_result] ended.  Every abnormal outcome carries a snapshot; none of
    them raises, so campaign drivers can classify millions of runs without
    ever seeing a [Failure _] backtrace. *)
 type run_result =
@@ -868,18 +874,39 @@ let execute t insn =
       t.cp0.Cp0.capcause <- Cap.Cause.Return_trap;
       raise (Exn (Cp0.Cp2 Cap.Cause.Return_trap, 0L))
 
-(* Fetch the instruction word at PC, validated against PCC (Section 4.4:
-   the absolute PC is checked against PCC in Execute). *)
-let fetch t =
-  check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:t.pc ~size:4;
-  let prot = Mem.Tlb.protection t.hier.Mem.Hierarchy.tlb t.pc in
-  if not (prot.Mem.Tlb.valid && prot.Mem.Tlb.executable) then
-    raise (Exn (Cp0.Tlb_load, t.pc));
-  if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr:t.pc);
-  try Mem.Phys.read_u32 t.phys t.pc
-  with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_load, a))
+(* The I-side of every retirement, whichever tier supplies the decoded
+   instruction: authorise the fetch at PC against PCC (Section 4.4: the
+   absolute PC is checked against PCC in Execute) and against the TLB
+   page, which still translates underneath (Section 4.1), then charge
+   the I-side hierarchy.  [checked] means the caller has already proven
+   both checks pass for this PC (the superblock's per-block hoist). *)
+let[@inline] ifetch t ~checked =
+  if not checked then begin
+    check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:t.pc ~size:4;
+    let prot = Mem.Tlb.protection t.hier.Mem.Hierarchy.tlb t.pc in
+    if not (prot.Mem.Tlb.valid && prot.Mem.Tlb.executable) then
+      raise (Exn (Cp0.Tlb_load, t.pc))
+  end;
+  if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr:t.pc)
 
-(* Execute a single instruction, routing exceptions to the kernel model. *)
+(* Decode-cache miss: the checked fetch, then the word read and decode. *)
+let fetch t =
+  ifetch t ~checked:false;
+  let word =
+    try Mem.Phys.read_u32 t.phys t.pc
+    with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_load, a))
+  in
+  try Code.decode word with Code.Decode_error _ -> raise (Exn (Cp0.Reserved_instruction, 0L))
+
+(* Retire one fetched instruction: the sequence both engines share.  The
+   probe classifies and samples over exactly the instret population
+   (markers excluded, instructions that trap in execute counted). *)
+let[@inline] retire t insn =
+  t.instret <- t.instret + 1;
+  charge t 1;
+  (match t.probe with Some p -> Obs.Probe.note p insn ~pc:t.pc | None -> ());
+  t.pc <- execute t insn
+
 let invalidate_icache t =
   Array.fill t.decode_pc 0 decode_slots (-1);
   Bytes.fill t.code_pages 0 (Bytes.length t.code_pages) '\000';
@@ -917,17 +944,12 @@ let step t =
     let slot = (ipc lsr 2) land decode_mask in
     let insn =
       if representable && Array.unsafe_get t.decode_pc slot = ipc then begin
-        (* Decode-cache hit.  Architectural fetch costs still apply. *)
-        check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:t.pc ~size:4;
-        if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr:t.pc);
+        (* Decode-cache hit.  Architectural fetch checks and costs still apply. *)
+        ifetch t ~checked:false;
         Array.unsafe_get t.decode_insn slot
       end
       else begin
-        let word = fetch t in
-        let insn =
-          try Code.decode word
-          with Code.Decode_error _ -> raise (Exn (Cp0.Reserved_instruction, 0L))
-        in
+        let insn = fetch t in
         if representable then begin
           Array.unsafe_set t.decode_pc slot ipc;
           Array.unsafe_set t.decode_insn slot insn;
@@ -941,15 +963,8 @@ let step t =
       end
     in
     (match insn with
-    | Insn.Trace _ -> () (* instrumentation: free, and excluded from instret *)
-    | _ ->
-        t.instret <- t.instret + 1;
-        charge t 1;
-        (* Observability probe: classify + sample over exactly the
-           instret population (markers excluded, faulting fetches
-           counted — the same convention as instret itself). *)
-        (match t.probe with Some p -> Obs.Probe.note p insn ~pc:t.pc | None -> ()));
-    t.pc <- execute t insn;
+    | Insn.Trace _ -> t.pc <- execute t insn (* instrumentation: free, excluded from instret *)
+    | _ -> retire t insn);
     (* Shadow call stack for the profiler's collapsed-stack output: calls
        and returns are reported after execute, when register-indirect
        targets are known.  The minic ABI returns via `jr $ra`. *)
@@ -1021,59 +1036,43 @@ let translate t ipc slot =
   end
 
 (* Execute up to [n] elements of a pinned block whose head is the current
-   PC.  Per element this is exactly [step]'s decode-hit path — step hook,
-   PCC execute check, I-side hierarchy access when [timing], instret,
-   [charge t 1], probe note, execute — minus the per-step dispatch,
-   tagging, and exception-frame overhead, which is where the speed comes
-   from.  Elements are straight-line, so [execute] always returns pc+4
-   and no shadow-call-stack events can occur inside a block.  A trap
-   dispatches through [dispatch_exn] and ends the block. *)
-let exec_block t code n =
+   PC ([ipc]).  Per element this is exactly [step]'s decode-hit path —
+   [ifetch] then [retire] — minus the per-step dispatch, tagging, and
+   exception-frame overhead, which is where the speed comes from.
+   Elements are straight-line, so [execute] always returns pc+4 and no
+   shadow-call-stack events can occur inside a block.  A trap dispatches
+   through [dispatch_exn] and ends the block.
+
+   Nothing writes PCC or the page table mid-block: a step hook sends
+   [sb_step] to [step], a kernel entry ends the block, the probe and the
+   store hook must not write architectural state, and every PCC-writing
+   instruction is a terminator.  Both fetch checks are pure, so when the
+   whole range passes PCC's execute check and lies on one executable
+   page, the per-element checks are no-ops and are hoisted.  Otherwise
+   every element is checked, so the trap lands at exactly the PC — with
+   exactly the cause — the plain engine would report. *)
+let exec_block t ipc code n =
   t.sb_dispatches <- t.sb_dispatches + 1;
-  let i = ref 0 in
-  let unhooked = match (t.on_step, t.probe) with None, None -> true | _ -> false in
-  (* PCC cannot change inside a block (every PCC-writing instruction is a
-     terminator), and [check_access] is pure, so when the whole [n]-element
-     range passes the execute check once, the per-element checks are
-     no-ops and can be hoisted.  If the hoisted check fails, the
-     per-element checks run so the trap surfaces at exactly the PC — and
-     with exactly the cause — the plain engine would report. *)
-  let pcc_ok =
-    match
-      Cap.Capability.check_access t.pcc Cap.Capability.Execute ~addr:t.pc
-        ~size:(Int64.of_int (n * 4))
-    with
-    | Ok () -> true
-    | Error _ -> false
+  let len = n * 4 in
+  let checked =
+    ipc lsr Mem.Tlb.page_bits = (ipc + len - 1) lsr Mem.Tlb.page_bits
+    && (match
+          Cap.Capability.check_access t.pcc Cap.Capability.Execute ~addr:t.pc
+            ~size:(Int64.of_int len)
+        with
+       | Ok () -> true
+       | Error _ -> false)
+    &&
+    let prot = Mem.Tlb.protection t.hier.Mem.Hierarchy.tlb t.pc in
+    prot.Mem.Tlb.valid && prot.Mem.Tlb.executable
   in
+  let i = ref 0 in
   (try
-     if unhooked then
-       (* Unhooked fast path: the common case for full-size runs. *)
-       while !i < n do
-         let insn = Array.unsafe_get code !i in
-         if not pcc_ok then
-           check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:t.pc ~size:4;
-         if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr:t.pc);
-         t.instret <- t.instret + 1;
-         charge t 1;
-         t.pc <- execute t insn;
-         incr i
-       done
-     else
-       (* Hook-aware variant: same architectural sequence, hooks invoked
-          at exactly the points [step] would invoke them. *)
-       while !i < n do
-         (match t.on_step with Some f -> f t | None -> ());
-         let insn = Array.unsafe_get code !i in
-         if not pcc_ok then
-           check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:t.pc ~size:4;
-         if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr:t.pc);
-         t.instret <- t.instret + 1;
-         charge t 1;
-         (match t.probe with Some p -> Obs.Probe.note p insn ~pc:t.pc | None -> ());
-         t.pc <- execute t insn;
-         incr i
-       done
+     while !i < n do
+       ifetch t ~checked;
+       retire t (Array.unsafe_get code !i);
+       incr i
+     done
    with Exn (exc, badv) -> dispatch_exn t exc badv);
   t.sb_retired <- t.sb_retired + !i
 
@@ -1082,10 +1081,13 @@ let exec_block t code n =
    a single generic [step] (which also warms the decode cache that
    formation feeds on).  [fuel] lets the run loop align block boundaries
    with its budget and watchdog sampling points, keeping both engines'
-   outcomes identical instruction for instruction. *)
+   outcomes identical instruction for instruction.  A step hook selects
+   [step] outright: it may write architectural state (the fault injector
+   rewrites registers and PCC) before any retirement. *)
 let sb_step t ~fuel =
   let ipc = Int64.to_int t.pc in
-  if fuel <= 0 || not (Int64.equal (Int64.of_int ipc) t.pc) then step t
+  if fuel <= 0 || Option.is_some t.on_step || not (Int64.equal (Int64.of_int ipc) t.pc)
+  then step t
   else begin
     let slot = (ipc lsr 2) land sb_mask in
     let code =
@@ -1093,7 +1095,7 @@ let sb_step t ~fuel =
       else translate t ipc slot
     in
     let n = Array.length code in
-    if n = 0 then step t else exec_block t code (if fuel < n then fuel else n)
+    if n = 0 then step t else exec_block t ipc code (if fuel < n then fuel else n)
   end
 
 (* --- the hardened run loop --------------------------------------------- *)
@@ -1212,16 +1214,6 @@ let run_result ?(max_insns = Int64.max_int) ?(watchdog = 0) t =
           (Trap_unhandled
              (ctx, snapshot ~cause:("kernel model error: " ^ Printexc.to_string e) t)));
   match !outcome with Some r -> r | None -> assert false
-
-(* The legacy integer-exit-code interface.  Abnormal outcomes map to
-   conventional shell-style codes ([exit_code]) and print their snapshot on
-   stderr — they indicate a machine-level problem no kernel handled. *)
-let run ?max_insns ?watchdog t =
-  match run_result ?max_insns ?watchdog t with
-  | Exited code -> code
-  | abnormal ->
-      Fmt.epr "[machine] %a@." pp_run_result abnormal;
-      exit_code abnormal
 
 (* --- the observability counter file ------------------------------------- *)
 

@@ -112,7 +112,8 @@ let protection t vaddr =
   let i = p land (prot_memo_slots - 1) in
   if Array.unsafe_get t.prot_vpn i = p then Array.unsafe_get t.prot_val i
   else begin
-    let pr = match Hashtbl.find_opt t.table p with Some pr -> pr | None -> prot_none in
+    (* [find], not [find_opt]: the miss path must not allocate either. *)
+    let pr = try Hashtbl.find t.table p with Not_found -> prot_none in
     Array.unsafe_set t.prot_vpn i p;
     Array.unsafe_set t.prot_val i pr;
     pr

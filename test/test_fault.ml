@@ -90,8 +90,8 @@ let test_monitor_clean_on_golden_state () =
     Minic.Driver.compile ~mode:Minic.Layout.Cheri
       (Olden.Minic_src.instantiate ~iters:1 src ~param:4)
   in
-  let code, _ = Os.Kernel.run_program ~max_insns:10_000_000L k asm in
-  Alcotest.(check int) "golden exit" 0 code;
+  let r, _ = Os.Kernel.run_program ~max_insns:10_000_000L k asm in
+  Alcotest.(check int) "golden exit" 0 (Outcome.exited r);
   let root = Cap.Capability.make ~perms:Cap.Perms.all ~base:0L ~length:k.Os.Kernel.user_top in
   let violations =
     Fault.Monitor.check ~root m ~base:heap ~len:(Int64.sub k.Os.Kernel.brk heap)
@@ -250,7 +250,7 @@ let run_with_upset ~upset src =
     (Some
        (fun m ->
          if (not !done_) && upset m then done_ := true));
-  let code = Machine.run ~max_insns:1_000_000L m in
+  let code = Outcome.exited (Machine.run_result ~max_insns:1_000_000L m) in
   (code, !trapped, !done_)
 
 let spill = Int64.add heap 128L

@@ -22,9 +22,9 @@ let run_insn ?(a = 0L) ?(b = 0L) body =
   Mem.Phys.write_u64 m.Machine.phys 0L a;
   Mem.Phys.write_u64 m.Machine.phys 8L b;
   m.Machine.pc <- program.Asm.Assembler.entry;
-  match Machine.run ~max_insns:1_000L m with
-  | 0 -> Machine.gpr m Regs.v1
-  | code -> Alcotest.failf "unexpected exit %d" code
+  match Machine.run_result ~max_insns:1_000L m with
+  | Machine.Exited 0 -> Machine.gpr m Regs.v1
+  | r -> Alcotest.failf "%a" Machine.pp_run_result r
 
 let check ?(a = 0L) ?(b = 0L) name body expected =
   Alcotest.(check int64) name expected (run_insn ~a ~b body)
@@ -127,20 +127,20 @@ let test_overflow_traps () =
   Os.Kernel.set_fault_handler k (fun _ f ->
       if f.Os.Kernel.exc = Cp0.Overflow then trapped := true;
       Machine.Halt 12);
-  let code, _ =
+  let r, _ =
     Os.Kernel.run_program k
       "main:\n  lui $t0, 0x7FFF\n  ori $t0, $t0, 0xFFFF\n  li $t1, 1\n  add $v1, $t0, $t1\n  li $v0, 1\n  li $a0, 0\n  syscall\n"
   in
-  Alcotest.(check int) "trapped exit" 12 code;
+  Alcotest.(check int) "trapped exit" 12 (Outcome.exited r);
   Alcotest.(check bool) "overflow exception" true !trapped;
   (* addu must NOT trap on the same operands *)
   let m2 = Machine.create () in
   let k2 = Os.Kernel.attach m2 in
-  let code2, _ =
+  let r2, _ =
     Os.Kernel.run_program k2
       "main:\n  lui $t0, 0x7FFF\n  ori $t0, $t0, 0xFFFF\n  li $t1, 1\n  addu $v1, $t0, $t1\n  li $v0, 1\n  li $a0, 0\n  syscall\n"
   in
-  Alcotest.(check int) "addu no trap" 0 code2
+  Alcotest.(check int) "addu no trap" 0 (Outcome.exited r2)
 
 (* --- loads/stores widths ------------------------------------------------------------------ *)
 

@@ -11,7 +11,7 @@ let exec_program ?(fault_handler = None) source =
   (match fault_handler with Some f -> Os.Kernel.set_fault_handler k f | None -> ());
   let program = Asm.Assembler.assemble source in
   Os.Kernel.exec k program;
-  let code = Machine.run ~max_insns:10_000_000L m in
+  let code = Outcome.exited (Machine.run_result ~max_insns:10_000_000L m) in
   (code, k, m)
 
 let check_exit what expected source =
@@ -481,9 +481,9 @@ sandbox_entry:
   Asm.Assembler.load m program;
   Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
   let _sandbox = Os.Sandbox.enter m ~base:0x40000L ~length:0x2000L ~entry:0x40000L in
-  (match Machine.run ~max_insns:1_000L m with
-  | 55 -> ()
-  | code -> Alcotest.failf "unexpected exit %d" code
+  (match Machine.run_result ~max_insns:1_000L m with
+  | Machine.Exited 55 -> ()
+  | r -> Alcotest.failf "%a" Machine.pp_run_result r
   | exception _ -> escaped := true);
   Alcotest.(check bool) "did not escape" false !escaped;
   match !trapped with
@@ -512,7 +512,7 @@ entry:
   Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
   let sandbox = Os.Sandbox.enter m ~base:0x40000L ~length:0x2000L ~entry:0x40000L in
   Os.Kernel.set_fault_handler (Os.Kernel.attach m) (fun _ _ -> Machine.Halt 0);
-  ignore (Machine.run ~max_insns:100L m);
+  Alcotest.(check int) "exit" 0 (Outcome.exited (Machine.run_result ~max_insns:100L m));
   Os.Sandbox.leave m sandbox;
   Alcotest.(check int) "store landed inside sandbox" 77
     (Mem.Phys.read_u32 m.Machine.phys 0x40100L)
@@ -609,7 +609,7 @@ let test_smc_decode_coherence () =
   Mem.Phys.write_u32 m.Machine.phys (Int64.add patcher 4L) (Code.encode Insn.Break);
   let run_at pc =
     m.Machine.pc <- pc;
-    ignore (Machine.run ~max_insns:100L m)
+    Alcotest.(check int) "exit" 0 (Outcome.exited (Machine.run_result ~max_insns:100L m))
   in
   run_at target;
   Alcotest.(check int64) "original insn executed" 1L (Machine.gpr m 3);
@@ -656,7 +656,7 @@ let test_smc_superblock_coherence () =
   Mem.Phys.write_u32 m.Machine.phys (Int64.add patcher 4L) (Code.encode Insn.Break);
   let run_at pc =
     m.Machine.pc <- pc;
-    ignore (Machine.run ~max_insns:100L m)
+    Alcotest.(check int) "exit" 0 (Outcome.exited (Machine.run_result ~max_insns:100L m))
   in
   (* first pass warms the decode cache; the second pins a superblock *)
   run_at target;
@@ -684,7 +684,10 @@ let test_smc_superblock_coherence () =
    walks off the end of its capability must produce identical
    architectural results under the plain and superblock engines — same
    trap, same EPC, same retired/cycle counts (the superblock tier
-   charges its own I-side costs), same data flow. *)
+   charges its own I-side costs), same data flow.  The probe-attached
+   input is the differential over the probe inside the block loop (a
+   probe keeps blocks, unlike a step hook): both engines must also agree
+   on every architectural counter, the probe's class counters included. *)
 let test_engine_trap_differential () =
   let source =
     {|
@@ -703,26 +706,122 @@ loop:
 |}
     ^ "\n.data\n.align 5\nbuf: .space 64\n"
   in
-  let run engine =
+  let run ~probe engine =
     let m = Machine.create () in
     Machine.set_engine m engine;
+    if probe then Machine.set_probe m (Some (Obs.Probe.create ()));
     let k = Os.Kernel.attach m in
     Os.Kernel.set_fault_handler k (fun _ (fault : Os.Kernel.fault) ->
         Machine.Halt (100 + Cap.Cause.code fault.Os.Kernel.capcause));
     Os.Kernel.exec k (Asm.Assembler.assemble source);
-    let code = Machine.run ~max_insns:100_000L m in
+    let code = Outcome.exited (Machine.run_result ~max_insns:100_000L m) in
     (code, m)
   in
-  let code_p, mp = run Machine.Plain in
-  let code_s, ms = run Machine.Superblock in
-  Alcotest.(check int) "exit codes agree" code_p code_s;
-  Alcotest.(check int) "length violation"
-    (100 + Cap.Cause.code Cap.Cause.Length_violation)
-    code_s;
-  Alcotest.(check int) "instret agrees" mp.Machine.instret ms.Machine.instret;
-  Alcotest.(check int) "cycles agree" mp.Machine.cycles ms.Machine.cycles;
-  Alcotest.(check int64) "accumulator agrees" (Machine.gpr mp 10) (Machine.gpr ms 10);
-  Alcotest.(check int64) "epc agrees" mp.Machine.cp0.Cp0.epc ms.Machine.cp0.Cp0.epc
+  List.iter
+    (fun probe ->
+      let code_p, mp = run ~probe Machine.Plain in
+      let code_s, ms = run ~probe Machine.Superblock in
+      Alcotest.(check int) "exit codes agree" code_p code_s;
+      Alcotest.(check int) "length violation"
+        (100 + Cap.Cause.code Cap.Cause.Length_violation)
+        code_s;
+      Alcotest.(check int) "instret agrees" mp.Machine.instret ms.Machine.instret;
+      Alcotest.(check int) "cycles agree" mp.Machine.cycles ms.Machine.cycles;
+      Alcotest.(check int64) "accumulator agrees" (Machine.gpr mp 10) (Machine.gpr ms 10);
+      Alcotest.(check int64) "epc agrees" mp.Machine.cp0.Cp0.epc ms.Machine.cp0.Cp0.epc;
+      Alcotest.(check bool) "superblocks retired" true (ms.Machine.sb_retired > 0);
+      if probe then begin
+        let arch m = Obs.Counters.(to_assoc (architectural (Machine.read_counters m))) in
+        Alcotest.(check (list (pair string int64)))
+          "architectural counters agree" (arch mp) (arch ms);
+        Alcotest.(check bool) "probe classified cap ops" true
+          (Obs.Counters.get (Machine.read_counters ms) Obs.Counters.cap_ops > 0L)
+      end)
+    [ false; true ]
+
+(* The loop both fetch-check tests run, at 0x10000: one prologue
+   instruction, then seven daddiu and a bne per iteration (eight
+   retirements), then a break.  The superblock engine pins the seven
+   daddiu at 0x10004 as one block. *)
+let fetch_loop_entry = 0x10000L
+
+let fetch_loop_machine engine =
+  let m = Machine.create () in
+  Machine.set_engine m engine;
+  Machine.set_timing m false;
+  Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
+  let body =
+    [ Insn.Daddiu (8, 0, 10) ]
+    @ List.init 6 (fun i -> Insn.Daddiu (9 + i, 9 + i, 1))
+    @ [ Insn.Daddiu (8, 8, -1); Insn.Bne (8, 0, -8); Insn.Break ]
+  in
+  List.iteri
+    (fun i insn ->
+      Mem.Phys.write_u32 m.Machine.phys
+        (Int64.add fetch_loop_entry (Int64.of_int (4 * i)))
+        (Code.encode insn))
+    body;
+  (* a break halts; any other exception halts with (cause, victim PC,
+     instret) recorded *)
+  let trap = ref None in
+  Machine.set_kernel m (fun m ctx ->
+      match ctx.Machine.exc with
+      | Cp0.Breakpoint -> Machine.Halt 0
+      | exc ->
+          trap := Some (Cp0.exc_to_string exc, ctx.Machine.victim_pc, m.Machine.instret);
+          Machine.Halt 1);
+  let run () =
+    m.Machine.pc <- fetch_loop_entry;
+    trap := None;
+    let code = Outcome.exited (Machine.run_result ~max_insns:1_000L m) in
+    (code, !trap)
+  in
+  (m, run)
+
+let trap_t = Alcotest.(option (triple string int64 int))
+
+(* A step hook that rewrites PCC mid-block (as the fault injector's PCC
+   site does) must see the next fetch refused at the same PC and instret
+   under both engines: the superblock engine may not keep executing a
+   block whose PCC check was hoisted before the hook ran. *)
+let test_step_hook_pcc_rewrite () =
+  let run engine =
+    let m, run = fetch_loop_machine engine in
+    Machine.set_step_hook m
+      (Some
+         (fun m ->
+           if m.Machine.instret = 43 then m.Machine.pcc <- Cap.Capability.clear_tag m.Machine.pcc));
+    run ()
+  in
+  let plain = run Machine.Plain in
+  Alcotest.(check (pair int trap_t)) "engines agree" plain (run Machine.Superblock);
+  Alcotest.(check (pair int trap_t)) "trap at the first fetch after the rewrite"
+    (1, Some (Cp0.exc_to_string (Cp0.Cp2 Cap.Cause.Tag_violation), 0x1000cL, 43))
+    plain
+
+(* Unmapping a code page from the host must refuse its next fetch even
+   when the decode cache and the superblock tier are warm: every tier
+   checks the TLB, so warm and cold runs trap identically. *)
+let test_unmapped_code_page () =
+  let warm_then_cold engine =
+    let m, run = fetch_loop_machine engine in
+    (* two clean runs: the first fills the decode cache, the second pins blocks *)
+    Alcotest.(check (pair int trap_t)) "clean run" (0, None) (run ());
+    Alcotest.(check (pair int trap_t)) "clean rerun" (0, None) (run ());
+    if engine = Machine.Superblock then
+      Alcotest.(check bool) "blocks pinned" true (m.Machine.sb_translations > 0);
+    Mem.Tlb.unmap m.Machine.hier.Mem.Hierarchy.tlb ~vaddr:fetch_loop_entry ~len:4096;
+    let warm = run () in
+    Machine.invalidate_icache m;
+    (warm, run ())
+  in
+  let warm_p, cold_p = warm_then_cold Machine.Plain in
+  let warm_s, cold_s = warm_then_cold Machine.Superblock in
+  let expected = (1, Some (Cp0.exc_to_string Cp0.Tlb_load, fetch_loop_entry, 164)) in
+  Alcotest.(check (pair int trap_t)) "warm plain" expected warm_p;
+  Alcotest.(check (pair int trap_t)) "warm superblock" expected warm_s;
+  Alcotest.(check (pair int trap_t)) "cold plain" expected cold_p;
+  Alcotest.(check (pair int trap_t)) "cold superblock" expected cold_s
 
 (* Checkpoint/restore round-trip: freeze a machine mid-program, let it
    run to completion, rewind, and rerun — digest, counters, and memory
@@ -760,7 +859,7 @@ loop:
      Mem.Phys.read_u64 m.Machine.phys 0x207D00L)
   in
   let ck = Machine.checkpoint m in
-  let code = Machine.run ~max_insns:1_000_000L m in
+  let code = Outcome.exited (Machine.run_result ~max_insns:1_000_000L m) in
   Alcotest.(check int) "first run exits" 0 code;
   let fin =
     (Machine.state_digest m, m.Machine.cycles, m.Machine.instret,
@@ -773,7 +872,7 @@ loop:
     (mid
     = (Machine.state_digest m, m.Machine.cycles, m.Machine.instret,
        Mem.Phys.read_u64 m.Machine.phys 0x207D00L));
-  let code = Machine.run ~max_insns:1_000_000L m in
+  let code = Outcome.exited (Machine.run_result ~max_insns:1_000_000L m) in
   Alcotest.(check int) "rerun exits" 0 code;
   Alcotest.(check bool) "rerun retraces the first run exactly" true
     (fin
@@ -804,7 +903,7 @@ let test_checkpoint_smc_coherence () =
   Mem.Phys.write_u32 m.Machine.phys (Int64.add patcher 4L) (Code.encode Insn.Break);
   let run_at pc =
     m.Machine.pc <- pc;
-    ignore (Machine.run ~max_insns:100L m)
+    Alcotest.(check int) "exit" 0 (Outcome.exited (Machine.run_result ~max_insns:100L m))
   in
   (* two passes pin a superblock over the target before the checkpoint *)
   run_at target;
@@ -872,8 +971,8 @@ loop:
   syscall
 |}
   in
-  let code, _ = Os.Kernel.run_program k source in
-  Alcotest.(check int) "ran" 0 code;
+  let r, _ = Os.Kernel.run_program k source in
+  Alcotest.(check int) "ran" 0 (Outcome.exited r);
   let tag_misses = m.Machine.hier.Mem.Hierarchy.tag_cache.Mem.Cache.misses in
   let data_misses = m.Machine.hier.Mem.Hierarchy.l1d.Mem.Cache.misses in
   Alcotest.(check bool) "tag cache miss rate tiny" true (tag_misses * 10 < data_misses)
@@ -921,6 +1020,8 @@ let suites =
         Alcotest.test_case "SMC decode coherence" `Quick test_smc_decode_coherence;
         Alcotest.test_case "SMC superblock coherence" `Quick test_smc_superblock_coherence;
         Alcotest.test_case "engine trap differential" `Quick test_engine_trap_differential;
+        Alcotest.test_case "step hook rewrites PCC" `Quick test_step_hook_pcc_rewrite;
+        Alcotest.test_case "unmapped code page" `Quick test_unmapped_code_page;
         Alcotest.test_case "tag controller traffic" `Quick test_tag_controller_traffic;
         Alcotest.test_case "checkpoint/restore round-trip" `Quick test_checkpoint_restore_roundtrip;
         Alcotest.test_case "checkpoint SMC coherence" `Quick test_checkpoint_smc_coherence;
@@ -1017,7 +1118,7 @@ let prop_machine_monotonic =
       for i = 1 to 15 do
         Machine.set_gpr m i (Int64.of_int (i * 24))
       done;
-      ignore (Machine.run ~max_insns:(Int64.of_int (4 * List.length insns + 16)) m);
+      ignore (Machine.run_result ~max_insns:(Int64.of_int (4 * List.length insns + 16)) m);
       (* closure check: registers *)
       let ok_regs =
         List.for_all

@@ -11,8 +11,8 @@ let run_mode ?fault_handler mode src =
   let m = Exp.Bench_run.machine_for mode in
   let k = Os.Kernel.attach m in
   (match fault_handler with Some f -> Os.Kernel.set_fault_handler k f | None -> ());
-  let code, out = Os.Kernel.run_program ~max_insns:100_000_000L k asm in
-  (code, String.split_on_char '\n' out |> List.filter (fun s -> String.trim s <> ""))
+  let r, out = Os.Kernel.run_program ~max_insns:100_000_000L k asm in
+  (Outcome.exited r, String.split_on_char '\n' out |> List.filter (fun s -> String.trim s <> ""))
 
 let check_all_modes what src expected =
   List.iter

@@ -235,8 +235,8 @@ loop:
 let test_counters_match_machine () =
   let m = Machine.create () in
   let k = Os.Kernel.attach m in
-  let code, _ = Os.Kernel.run_program k loop_program in
-  Alcotest.(check int) "clean exit" 0 code;
+  let r, _ = Os.Kernel.run_program k loop_program in
+  Alcotest.(check int) "clean exit" 0 (Outcome.exited r);
   let c = Os.Kernel.read_counters k in
   let get = Obs.Counters.get c in
   Alcotest.(check int64)

@@ -11,8 +11,8 @@ let fresh () =
 let run ?(fault = None) source =
   let m, k = fresh () in
   (match fault with Some f -> Os.Kernel.set_fault_handler k f | None -> ());
-  let code, out = Os.Kernel.run_program ~max_insns:10_000_000L k source in
-  (code, out, m, k)
+  let r, out = Os.Kernel.run_program ~max_insns:10_000_000L k source in
+  (Outcome.exited r, out, m, k)
 
 (* --- syscalls ------------------------------------------------------------- *)
 
@@ -332,8 +332,7 @@ object: .space 32
         ignore (Os.Revoke.revoke m ~base ~length:32L)
       end);
   Os.Kernel.exec k program;
-  let code = Machine.run ~max_insns:10_000L m in
-  Alcotest.(check int) "trapped" 61 code;
+  Alcotest.(check int) "trapped" 61 (Outcome.exited (Machine.run_result ~max_insns:10_000L m));
   match !trapped with
   | Some Cap.Cause.Tag_violation -> ()
   | Some c -> Alcotest.failf "wrong cause %s" (Cap.Cause.to_string c)
