@@ -7,7 +7,8 @@
    injection time); the run is classified against a golden execution and
    the campaign prints an outcome-coverage table (docs/FAULTS.md).  With
    [--mode all] the CHERI modes and the unprotected baseline run the same
-   seed set side by side. *)
+   seed set side by side.  Exit 2 = a refused --resume (no --checkpoint,
+   or a checkpoint from another campaign). *)
 
 open Cmdliner
 
@@ -27,7 +28,9 @@ let campaign bench modes seeds base_seed param sites verbose no_monitor checkpoi
   in
   Cli.check_bench bench;
   (* With several modes, each gets its own checkpoint file (the
-     fingerprint covers the mode, so they cannot be mixed up). *)
+     fingerprint covers the mode, so they cannot be mixed up).  A mode
+     whose file does not exist yet starts at seed 0 under --resume, so a
+     campaign killed during its first mode resumes cleanly. *)
   let checkpoint_for mode =
     match checkpoint with
     | None -> None
@@ -51,7 +54,7 @@ let campaign bench modes seeds base_seed param sites verbose no_monitor checkpoi
             }
         with
         | s -> s
-        | exception Failure msg ->
+        | exception Fault.Checkpoint.Refused msg ->
             Fmt.epr "%s@." msg;
             exit 2)
       modes

@@ -45,13 +45,28 @@ let shrink_one ~engine cfg corpus seed =
       | Some dir -> Fmt.pr "  filed %s@." (Fuzz.Corpus.save ~dir f)
       | None -> ())
 
+(* A refused resume (no --checkpoint, or a checkpoint this campaign
+   cannot continue) exits 2. *)
+let or_refused f =
+  try f ()
+  with Fault.Checkpoint.Refused msg ->
+    Fmt.epr "%s@." msg;
+    exit 2
+
+let export json entry =
+  match json with
+  | Some path ->
+      Obs.Export.write_file path [ entry ];
+      Fmt.pr "wrote %s@." path
+  | None -> ()
+
 (* `--mode kernel` drives the protected-call surface fuzzer (Fuzz.Kfuzz):
    host-minted capability pairs through the kernel handlers against a
    pure model of the CCall/CReturn contract.  It shares --programs,
-   --insns (scenario ops), --base-seed, --jobs, --json, and --replay;
-   the instruction-campaign machinery (corpus, checkpoints, shrinking)
-   does not apply to scenario fuzzing. *)
-let kernel_campaign programs insns base_seed jobs json no_wall replay =
+   --insns (scenario ops), --base-seed, --jobs, --checkpoint, --resume,
+   --json, and --replay; corpus filing and shrinking are for instruction
+   programs only. *)
+let kernel_campaign programs insns base_seed jobs checkpoint resume json no_wall replay =
   let cfg = { Fuzz.Kfuzz.programs; ops = insns; base_seed } in
   match replay with
   | Some seed ->
@@ -59,18 +74,17 @@ let kernel_campaign programs insns base_seed jobs json no_wall replay =
       Fmt.pr "seed %Ld [kernel]:@.%s@." seed desc;
       if failed then exit failure_exit
   | None ->
-      let r = Fuzz.Kfuzz.run ~jobs ~wall:(not no_wall) cfg in
+      let r =
+        or_refused (fun () -> Fuzz.Kfuzz.run ~jobs ?checkpoint ~resume ~wall:(not no_wall) cfg)
+      in
       Fmt.pr "%a" Fuzz.Kfuzz.pp r;
-      (match json with
-      | Some path ->
-          Obs.Export.write_file path [ Fuzz.Kfuzz.export_entry r ];
-          Fmt.pr "wrote %s@." path
-      | None -> ());
+      export json (Fuzz.Kfuzz.export_entry r);
       if not (Fuzz.Kfuzz.clean r) then exit failure_exit
 
-let campaign mode programs insns base_seed wide narrow jobs checkpoint every resume corpus json
-    no_wall replay replay_file engine =
-  if mode = "kernel" then kernel_campaign programs insns base_seed jobs json no_wall replay
+let campaign mode programs insns base_seed wide narrow jobs checkpoint resume corpus json no_wall
+    replay replay_file engine =
+  if mode = "kernel" then
+    kernel_campaign programs insns base_seed jobs checkpoint resume json no_wall replay
   else
   match (replay, replay_file) with
   | Some seed, _ ->
@@ -102,19 +116,11 @@ let campaign mode programs insns base_seed wide narrow jobs checkpoint every res
   | None, None ->
       let cfg = make_cfg mode programs insns base_seed wide narrow in
       let r =
-        try
-          Fuzz.Campaign.run ~jobs ?checkpoint ~checkpoint_every:every ~resume ~wall:(not no_wall)
-            ~engine cfg
-        with Fuzz.Campaign.Resume_mismatch msg ->
-          Fmt.epr "%s@." msg;
-          exit 2
+        or_refused (fun () ->
+            Fuzz.Campaign.run ~jobs ?checkpoint ~resume ~wall:(not no_wall) ~engine cfg)
       in
       Fmt.pr "%a" Fuzz.Campaign.pp r;
-      (match json with
-      | Some path ->
-          Obs.Export.write_file path [ Fuzz.Campaign.export_entry r ];
-          Fmt.pr "wrote %s@." path
-      | None -> ());
+      export json (Fuzz.Campaign.export_entry r);
       List.iter (fun (seed, _) -> shrink_one ~engine cfg corpus seed) r.Fuzz.Campaign.failures;
       if not (Fuzz.Campaign.clean r) then exit failure_exit
 
@@ -149,12 +155,8 @@ let checkpoint =
   Arg.(
     value
     & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE" ~doc:"Write periodic campaign checkpoints to $(docv).")
-
-let every =
-  Arg.(
-    value & opt int 2048
-    & info [ "every" ] ~docv:"N" ~doc:"Checkpoint roughly every $(docv) programs.")
+    & info [ "checkpoint" ] ~docv:"FILE"
+        ~doc:"Save the campaign to $(docv) after every batch of chunks and at the end.")
 
 let resume =
   Arg.(
@@ -190,6 +192,6 @@ let cmd =
     (Cmd.info "cheri_fuzz" ~doc:"Differential observational-correctness fuzzing of the CHERI model")
     Term.(
       const campaign $ mode $ programs $ insns $ base_seed $ wide $ narrow $ Cli.jobs $ checkpoint
-      $ every $ resume $ corpus $ json $ Cli.no_wall $ replay $ replay_file $ Cli.engine)
+      $ resume $ corpus $ json $ Cli.no_wall $ replay $ replay_file $ Cli.engine)
 
 let () = exit (Cmd.eval cmd)

@@ -81,16 +81,13 @@ type summary = {
   golden_exit : int;
   golden_output : string;
   golden_instret : int64;
+  tallies : (outcome * int) list;
+      (* every outcome's count over the whole campaign, the seeds of a
+         resumed checkpoint included *)
   records : record list; (* the seeds this process actually ran *)
-  prior : (outcome * int) list;
-      (* outcome tallies carried over from a resumed checkpoint: seeds
-         [0, seeds - |records|) of the same campaign, classified by an
-         earlier (interrupted) process.  Empty for a fresh run. *)
 }
 
-let count s o =
-  (match List.assoc_opt o s.prior with Some n -> n | None -> 0)
-  + List.length (List.filter (fun r -> r.outcome = o) s.records)
+let count s o = List.assoc o s.tallies
 
 let fraction s o =
   if s.config.seeds = 0 then 0.0 else 100.0 *. float_of_int (count s o) /. float_of_int s.config.seeds
@@ -270,107 +267,51 @@ let outcome_key = function
 
 (* The checkpoint fingerprint: everything that determines the per-seed
    classification.  Resuming under a different config would silently mix
-   incomparable outcome streams, so [run] refuses on mismatch. *)
+   incomparable outcome streams, so the driver refuses on mismatch. *)
 let fingerprint cfg =
   Printf.sprintf "fault:%s:%s:seeds=%d:base=%Ld:param=%d:sites=%s:monitor=%b" cfg.bench
     (mode_name cfg.mode) cfg.seeds cfg.base_seed cfg.param
     (String.concat "," (List.map Injector.site_name cfg.sites))
     cfg.monitor
 
-(* [bus]: when given, every classified injection is emitted as a
-   structured "fault-campaign" event on the shared lib/obs event bus, so
-   campaign verdicts interleave with spans and kernel faults in one
-   machine-readable stream.
-
-   [checkpoint]: path of a Checkpoint file rewritten every
-   [checkpoint_every] classified seeds (and at completion).  With
-   [resume], a matching checkpoint's cursor and tallies are folded in and
-   the campaign continues at the first unclassified seed — every seed is
-   deterministic, so the resumed summary's counts equal an uninterrupted
-   run's.  [stop_after n] classifies at most [n] seeds this call (the
-   deterministic stand-in for an interruption; used by the resume tests
-   and nonsensical without [checkpoint]). *)
-let run ?bus ?checkpoint ?(checkpoint_every = 64) ?(resume = false) ?stop_after ?engine cfg =
+(* [checkpoint], [resume], [stop_after]: as for [Checkpoint.run], which
+   saves after every chunk of seeds.  Every seed is deterministic, so a
+   resumed summary's tallies equal an uninterrupted run's. *)
+let run ?checkpoint ?resume ?stop_after ?engine cfg =
   let program = compile cfg in
   let golden = golden_run ?engine cfg program in
   (* The invariant monitor still sweeps the whole heap the golden run
      touched (plus a page of slack for allocator state). *)
   let heap_len = Int64.add (Int64.sub golden.brk Os.Layout.heap_base) 4096L in
-  let fp = fingerprint cfg in
-  let start, prior =
-    match checkpoint with
-    | Some path when resume && Sys.file_exists path -> (
-        match Checkpoint.load path with
-        | Error msg -> Fmt.failwith "campaign: cannot resume: %s" msg
-        | Ok c ->
-            if not (String.equal c.Checkpoint.kind "fault" && String.equal c.Checkpoint.fingerprint fp)
-            then
-              Fmt.failwith "campaign: checkpoint %s was written by a different campaign (%s)" path
-                c.Checkpoint.fingerprint;
-            let prior =
-              List.filter_map
-                (fun o ->
-                  match List.assoc_opt (outcome_key o) c.Checkpoint.tallies with
-                  | Some n when Int64.compare n 0L > 0 -> Some (o, Int64.to_int n)
-                  | _ -> None)
-                all_outcomes
-            in
-            (c.Checkpoint.next, prior))
-    | _ -> (0, [])
+  let chunk (lo, len) =
+    let records =
+      List.init len (fun i ->
+          faulted_run ?engine cfg ~program ~golden ~heap_len
+            (Int64.add cfg.base_seed (Int64.of_int (lo + i))))
+    in
+    let tally o = Int64.of_int (List.length (List.filter (fun r -> r.outcome = o) records)) in
+    {
+      Checkpoint.counts = Array.of_list (List.map tally all_outcomes);
+      retired = 0L;
+      histograms = [];
+      failures = [];
+      records;
+    }
   in
-  let records = ref [] in
-  let ndone = ref start in
-  let save () =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-        let tallies =
-          List.map
-            (fun o ->
-              let n =
-                (match List.assoc_opt o prior with Some n -> n | None -> 0)
-                + List.length (List.filter (fun r -> r.outcome = o) !records)
-              in
-              (outcome_key o, Int64.of_int n))
-            all_outcomes
-        in
-        Checkpoint.save path
-          {
-            Checkpoint.kind = "fault";
-            fingerprint = fp;
-            total = cfg.seeds;
-            next = !ndone;
-            tallies;
-            counters = [];
-            hists = [];
-          }
+  (* Fault summaries report no host time, so the checkpoint carries none. *)
+  let { Checkpoint.merged; _ } =
+    Checkpoint.run ?path:checkpoint ?resume ?stop_after ~wall:false ~kind:"fault"
+      ~fingerprint:(fingerprint cfg)
+      ~keys:(Array.of_list (List.map outcome_key all_outcomes))
+      ~hists:[] ~seeds:cfg.seeds chunk
   in
-  let stop = match stop_after with Some n -> min cfg.seeds (start + n) | None -> cfg.seeds in
-  for i = start to stop - 1 do
-    let r = faulted_run ?engine cfg ~program ~golden ~heap_len (Int64.add cfg.base_seed (Int64.of_int i)) in
-    (match bus with
-    | Some bus ->
-        Obs.Event.emit bus ~kind:"fault-campaign" ~name:(outcome_name r.outcome)
-          [
-            ("bench", Obs.Json.String cfg.bench);
-            ("mode", Obs.Json.String (mode_name cfg.mode));
-            ("seed", Obs.Json.Int r.seed);
-            ("injection", Obs.Json.String r.injection);
-            ("monitor_flags", Obs.Json.Int (Int64.of_int r.monitor_flags));
-          ]
-    | None -> ());
-    records := r :: !records;
-    incr ndone;
-    if !ndone mod checkpoint_every = 0 then save ()
-  done;
-  save ();
   {
     config = cfg;
     golden_exit = golden.exit_code;
     golden_output = golden.output;
     golden_instret = golden.instret;
-    records = List.rev !records;
-    prior;
+    tallies = List.mapi (fun i o -> (o, Int64.to_int merged.Checkpoint.counts.(i))) all_outcomes;
+    records = merged.Checkpoint.records;
   }
 
 (* --- reporting ----------------------------------------------------------- *)

@@ -1,14 +1,22 @@
-(* Campaign checkpoints: a periodic JSON snapshot of a seeded campaign's
-   cursor and aggregated results, shared by the fault-injection campaign
-   (`cheri_fault --checkpoint/--resume`) and the fuzzer (`cheri_fuzz`).
+(* Seeded campaigns: the checkpoint format and the one driver that runs
+   every campaign over it — the fault-injection campaign
+   ([Campaign], `cheri_fault`) and the instruction and kernel fuzz
+   campaigns (`cheri_fuzz`).
+
+   A campaign is N seeds, each a pure function of its index.  The driver
+   owns everything around the per-seed work: the fixed chunk grid, the
+   fan-out across domains, the in-order merge, checkpoint saves, resume,
+   and the run limits.  A campaign supplies a kind, a config
+   fingerprint, its outcome keys, its seed count, and a function that
+   runs one chunk of seeds and aggregates it into a [shard].
 
    A checkpoint deliberately stores no per-seed records: every seed is
-   deterministic, so the cursor plus the running tallies reconstruct the
-   campaign exactly.  [--resume] continues at [next] with the prior
-   tallies folded in, which makes a resumed campaign's final report
+   deterministic, so the cursor plus the running aggregates reconstruct
+   the campaign exactly.  Resuming continues at [next] with the saved
+   aggregates folded in, which makes a resumed campaign's final report
    byte-identical to an uninterrupted one — provided the config matches,
    which [fingerprint] enforces (resuming a checkpoint written by a
-   different campaign is a hard error, not a silent restart).
+   different campaign is a refusal, not a silent restart).
 
    Schema (one JSON object per file):
 
@@ -18,9 +26,11 @@
        "total": <seeds in the whole campaign>,
        "next": <first seed index not yet accounted for>,
        "tallies": { <outcome>: <count>, ... },
-       "counters": { <name>: <int64>, ... },
+       "counters": { "instret": <int64>, "wall_us": <int64> },
        "hists": [ <full-fidelity histogram>, ... ] }
 
+   [wall_us] is the host time the campaign has spent so far (0 when wall
+   clocks are off; absent in older files, where it reads as 0).
    Histograms round-trip at full fidelity (every non-empty bucket, not
    the elided rendering of [Obs.Hist.to_json]) so a resumed campaign's
    exported distributions match the uninterrupted run exactly. *)
@@ -158,3 +168,155 @@ let load path =
   | exception Obs.Json.Parse_error (msg, off) ->
       Error (Printf.sprintf "%s: JSON parse error at byte %d: %s" path off msg)
   | exception Sys_error msg -> Error msg
+
+(* --- the campaign driver ------------------------------------------------- *)
+
+(* Every refusal to run a campaign as asked: [resume] without a
+   checkpoint path, or a checkpoint file that cannot be parsed, names
+   another campaign, or holds a cursor that does not fit this one. *)
+exception Refused of string
+
+let refuse fmt = Printf.ksprintf (fun msg -> raise (Refused msg)) fmt
+
+(* Seeds per chunk.  Every chunk builds fresh machines, so machine state
+   never crosses a chunk boundary and the partition is invisible in the
+   results; a lockstep machine pair costs ~1.7 ms against ~15 ms for a
+   128-program chunk, so a finer grid would cost throughput. *)
+let chunk_size = 128
+
+(* The fixed chunk grid at absolute seed indices: the first chunk of a
+   resumed range may be partial (up to the next multiple of
+   [chunk_size]), every later one is grid-aligned. *)
+let chunks_between start stop =
+  let rec go i acc =
+    if i >= stop then List.rev acc
+    else
+      let e = min stop (((i / chunk_size) + 1) * chunk_size) in
+      go e ((i, e - i) :: acc)
+  in
+  go start []
+
+(* One chunk's aggregates; merged, the whole campaign's. *)
+type 'r shard = {
+  counts : int64 array; (* outcome tallies, indexed per the campaign's keys *)
+  retired : int64; (* retired instructions *)
+  histograms : Obs.Hist.t list; (* in the order of the campaign's [hists] *)
+  failures : (int64 * string) list; (* failing seeds with reasons, seed order *)
+  records : 'r list; (* per-seed records, seed order *)
+}
+
+(* Failing seeds kept as examples; the tallies count every one. *)
+let max_failures = 32
+
+type 'r finished = {
+  upto : int; (* the cursor: seeds [0, upto) are accounted for *)
+  merged : 'r shard;
+      (* tallies, [retired] and histograms cover the whole campaign, a
+         resumed checkpoint included; [failures] (capped at
+         [max_failures]) and [records] cover only the seeds this call ran *)
+  wall_s : float; (* host time, accumulated across resumes; 0.0 when wall is off *)
+}
+
+let rec split_at n = function
+  | x :: tl when n > 0 ->
+      let a, b = split_at (n - 1) tl in
+      (x :: a, b)
+  | xs -> ([], xs)
+
+(* Run the [seeds]-seed campaign [kind]/[fingerprint]: [chunk (lo, len)]
+   runs seeds [lo, lo + len) (absolute indices) into a shard whose
+   [counts] follow [keys] and whose histograms pair with [hists], the
+   campaign's (empty) accumulators.  Batches of [jobs] chunks fan out
+   over [Exp.Pool.map] and merge in seed order, so the result does not
+   depend on [jobs].
+
+   [path] is saved after every batch and once at the end.  With
+   [resume], a missing [path] starts at seed 0; an existing one must
+   parse, match [kind] and [fingerprint], hold a cursor in [0, seeds]
+   with [total = seeds], and carry one histogram per accumulator, or the
+   run is [Refused]; its aggregates are folded in and the run continues
+   at its cursor.  [stop_after n] runs at most [n] seeds this call (the
+   deterministic stand-in for an interruption). *)
+let run ?(jobs = 1) ?path ?(resume = false) ?stop_after ?(wall = true) ~kind ~fingerprint ~keys
+    ~hists ~seeds chunk =
+  let counts = Array.make (Array.length keys) 0L in
+  let retired = ref 0L and resumed_us = ref 0L in
+  let start =
+    match (resume, path) with
+    | false, _ -> 0
+    | true, None -> refuse "--resume requires --checkpoint FILE"
+    | true, Some p when not (Sys.file_exists p) -> 0
+    | true, Some p ->
+        let c = match load p with Ok c -> c | Error msg -> refuse "cannot resume: %s" msg in
+        if c.kind <> kind then refuse "%s: checkpoint kind %S is not a %s campaign" p c.kind kind;
+        if c.fingerprint <> fingerprint then
+          refuse "%s: checkpoint is for a different campaign\n  have %s\n  want %s" p c.fingerprint
+            fingerprint;
+        if c.total <> seeds || c.next < 0 || c.next > c.total then
+          refuse "%s: cursor %d of %d does not fit a %d-seed campaign" p c.next c.total seeds;
+        if List.length c.hists <> List.length hists then
+          refuse "%s: %d histograms, expected %d" p (List.length c.hists) (List.length hists);
+        Array.iteri
+          (fun i key -> Option.iter (fun v -> counts.(i) <- v) (List.assoc_opt key c.tallies))
+          keys;
+        let counter name = Option.value ~default:0L (List.assoc_opt name c.counters) in
+        retired := counter "instret";
+        resumed_us := counter "wall_us";
+        List.iter2 Obs.Hist.merge hists c.hists;
+        c.next
+  in
+  let stop = match stop_after with Some n -> min seeds (start + n) | None -> seeds in
+  let t0 = if wall then Unix.gettimeofday () else 0.0 in
+  let wall_us () =
+    if wall then Int64.add !resumed_us (Int64.of_float ((Unix.gettimeofday () -. t0) *. 1e6))
+    else !resumed_us
+  in
+  let upto = ref start and failures = ref [] and records = ref [] in
+  let checkpoint () =
+    Option.iter
+      (fun p ->
+        save p
+          {
+            kind;
+            fingerprint;
+            total = seeds;
+            next = !upto;
+            tallies = Array.to_list (Array.mapi (fun i key -> (key, counts.(i))) keys);
+            counters = [ ("instret", !retired); ("wall_us", wall_us ()) ];
+            hists;
+          })
+      path
+  in
+  let merge (_, len) s =
+    Array.iteri (fun i v -> counts.(i) <- Int64.add counts.(i) v) s.counts;
+    retired := Int64.add !retired s.retired;
+    List.iter2 Obs.Hist.merge hists s.histograms;
+    List.iter
+      (fun f -> if List.length !failures < max_failures then failures := f :: !failures)
+      s.failures;
+    records := List.rev_append s.records !records;
+    upto := !upto + len
+  in
+  let rec go pending =
+    if pending <> [] then begin
+      let batch, rest = split_at (max 1 jobs) pending in
+      List.iter2 merge batch (Exp.Pool.map ~jobs chunk batch);
+      (* The save after the last batch is the final one below. *)
+      if rest <> [] then checkpoint ();
+      go rest
+    end
+  in
+  go (chunks_between start stop);
+  checkpoint ();
+  {
+    upto = !upto;
+    merged =
+      {
+        counts;
+        retired = !retired;
+        histograms = hists;
+        failures = List.rev !failures;
+        records = List.rev !records;
+      };
+    wall_s = (if wall then Int64.to_float (wall_us ()) /. 1e6 else 0.0);
+  }

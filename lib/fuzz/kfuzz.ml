@@ -133,7 +133,7 @@ let expectation_key = function
 let seal_authority =
   Cap.Capability.make ~perms:Cap.Perms.all ~base:0L ~length:Cap.U64.max_value
 
-let mint spec ~base ~otype ~tagged ~sealed =
+let mint ~base ~otype ~tagged ~sealed =
   let c = Cap.Capability.make ~perms:Cap.Perms.all ~base ~length:segment_length in
   let c =
     if sealed then
@@ -142,7 +142,6 @@ let mint spec ~base ~otype ~tagged ~sealed =
       | Error e -> Fmt.invalid_arg "Kfuzz.mint: %s" (Cap.Cause.to_string e)
     else c
   in
-  ignore spec;
   if tagged then c else Cap.Capability.clear_tag c
 
 (* A model frame mirrors what the kernel must restore. *)
@@ -196,11 +195,11 @@ let run_scenario machine cfg seed =
         match op with
         | Call spec ->
             let code =
-              mint spec ~base:spec.code_base ~otype:spec.code_otype ~tagged:spec.code_tag
+              mint ~base:spec.code_base ~otype:spec.code_otype ~tagged:spec.code_tag
                 ~sealed:spec.code_sealed
             in
             let data =
-              mint spec ~base:spec.data_base ~otype:spec.data_otype ~tagged:spec.data_tag
+              mint ~base:spec.data_base ~otype:spec.data_otype ~tagged:spec.data_tag
                 ~sealed:spec.data_sealed
             in
             Machine.set_cap m 1 code;
@@ -292,15 +291,15 @@ let run_scenario machine cfg seed =
 let outcome_keys =
   [| "entered"; "refused-tag"; "refused-seal"; "refused-type"; "returned"; "empty-return"; "mismatch" |]
 
+let k_mismatch = Array.length outcome_keys - 1
+
 type result = {
   cfg : cfg;
   programs_done : int;
   tallies : int64 array; (* indexed per [outcome_keys] *)
-  wall_s : float;
+  wall_s : float; (* host time, accumulated across resumes; 0.0 when wall is off *)
   failures : (int64 * string) list; (* capped example mismatches, seed order *)
 }
-
-let max_failures = 32
 
 let key_index key =
   let rec go i =
@@ -310,49 +309,53 @@ let key_index key =
   in
   go 0
 
-let run ?(jobs = 1) ?(wall = true) cfg =
-  let t0 = if wall then Unix.gettimeofday () else 0.0 in
-  let chunks = Campaign.chunks_between 0 cfg.programs in
-  let run_chunk (lo, len) =
-    let m = Machine.create () in
-    let tallies = Array.make (Array.length outcome_keys) 0L in
-    let failures = ref [] in
-    for i = 0 to len - 1 do
-      let seed = Int64.add cfg.base_seed (Int64.of_int (lo + i)) in
-      let o = run_scenario m cfg seed in
-      List.iter
-        (fun (key, n) ->
-          let idx = key_index key in
-          tallies.(idx) <- Int64.add tallies.(idx) (Int64.of_int n))
-        o.tallies;
-      match o.mismatch with
-      | Some reason ->
-          tallies.(Array.length outcome_keys - 1) <-
-            Int64.add tallies.(Array.length outcome_keys - 1) 1L;
-          if List.length !failures < max_failures then failures := (seed, reason) :: !failures
-      | None -> ()
-    done;
-    (tallies, List.rev !failures)
-  in
-  let shards = Exp.Pool.map ~jobs run_chunk chunks in
-  let tallies = Array.make (Array.length outcome_keys) 0L in
+let fingerprint cfg =
+  Printf.sprintf "fuzz:kernel:programs=%d:ops=%d:base=%Ld" cfg.programs cfg.ops cfg.base_seed
+
+(* Run scenarios [lo, lo+len) on one fresh machine.  Each scenario
+   attaches a fresh kernel and resets every register the model reads, so
+   the machine's reuse is invisible in the results. *)
+let run_chunk cfg (lo, len) =
+  let m = Machine.create () in
+  let counts = Array.make (Array.length outcome_keys) 0L in
   let failures = ref [] in
-  List.iter
-    (fun (t, fs) ->
-      Array.iteri (fun i v -> tallies.(i) <- Int64.add tallies.(i) v) t;
-      List.iter
-        (fun f -> if List.length !failures < max_failures then failures := f :: !failures)
-        fs)
-    shards;
+  let bump idx n = counts.(idx) <- Int64.add counts.(idx) (Int64.of_int n) in
+  for i = 0 to len - 1 do
+    let seed = Int64.add cfg.base_seed (Int64.of_int (lo + i)) in
+    let o = run_scenario m cfg seed in
+    List.iter (fun (key, n) -> bump (key_index key) n) o.tallies;
+    Option.iter
+      (fun reason ->
+        bump k_mismatch 1;
+        failures := (seed, reason) :: !failures)
+      o.mismatch
+  done;
   {
-    cfg;
-    programs_done = cfg.programs;
-    tallies;
-    wall_s = (if wall then Unix.gettimeofday () -. t0 else 0.0);
+    Fault.Checkpoint.counts;
+    retired = 0L;
+    histograms = [];
     failures = List.rev !failures;
+    records = [];
   }
 
-let clean r = Int64.equal r.tallies.(Array.length outcome_keys - 1) 0L
+(* [checkpoint], [resume], [stop_after], [jobs], [wall]: as for
+   [Fault.Checkpoint.run].  Tallies count operations, not scenarios;
+   the driver's cursor counts scenarios. *)
+let run ?jobs ?checkpoint ?resume ?stop_after ?wall cfg =
+  let { Fault.Checkpoint.upto; merged; wall_s } =
+    Fault.Checkpoint.run ?jobs ?path:checkpoint ?resume ?stop_after ?wall ~kind:"fuzz"
+      ~fingerprint:(fingerprint cfg) ~keys:outcome_keys ~hists:[] ~seeds:cfg.programs
+      (run_chunk cfg)
+  in
+  {
+    cfg;
+    programs_done = upto;
+    tallies = merged.Fault.Checkpoint.counts;
+    wall_s;
+    failures = merged.Fault.Checkpoint.failures;
+  }
+
+let clean r = Int64.equal r.tallies.(k_mismatch) 0L
 
 (* Deterministic replay of one seed: print the scenario and its verdict. *)
 let replay cfg ~seed =
@@ -370,26 +373,12 @@ let replay cfg ~seed =
 let pp ppf r =
   Fmt.pf ppf "kernel fuzz campaign: programs=%d ops=%d base-seed=%Ld@." r.programs_done r.cfg.ops
     r.cfg.base_seed;
-  Array.iteri
-    (fun i key -> if r.tallies.(i) <> 0L then Fmt.pf ppf "  %-16s %Ld@." key r.tallies.(i))
-    outcome_keys;
+  Campaign.pp_tallies outcome_keys ppf r.tallies;
   if r.wall_s > 0.0 then Fmt.pf ppf "  %-16s %.2f@." "wall_s" r.wall_s;
-  if r.failures <> [] then begin
-    Fmt.pf ppf "  mismatching seeds:@.";
-    List.iter (fun (seed, reason) -> Fmt.pf ppf "    %Ld: %s@." seed reason) r.failures
-  end
+  Campaign.pp_failures "mismatching seeds" ppf r.failures
 
-(* Export through the lib/obs schema, same shape as the instruction
-   campaigns: tallies as spans, scenario count in param. *)
+(* Same export shape as the instruction campaigns, with no retired
+   instructions: tallies as spans, scenario count in param. *)
 let export_entry r =
-  let counters = Obs.Counters.create () in
-  let spans =
-    Array.to_list
-      (Array.mapi
-         (fun i key ->
-           let c = Obs.Counters.create () in
-           Obs.Counters.set c Obs.Counters.instret r.tallies.(i);
-           ("outcome:" ^ key, c))
-         outcome_keys)
-  in
-  { Obs.Export.bench = "fuzz"; mode = "kernel"; param = r.programs_done; wall_s = r.wall_s; counters; spans }
+  Campaign.export ~mode:"kernel" ~param:r.programs_done ~instret:0L ~wall_s:r.wall_s outcome_keys
+    r.tallies

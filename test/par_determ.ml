@@ -21,23 +21,36 @@
 
 let jobs = 4
 
-(* The fuzz campaign makes the same promise: the 128-seed shard grid is
+(* The fuzz campaigns make the same promise: the 128-seed shard grid is
    fixed at absolute indices and shard results merge in seed order, so
-   the export must not depend on the domain count. *)
+   the export must not depend on the domain count — for instruction
+   programs and for kernel scenarios alike. *)
 let check_fuzz_determinism () =
-  let cfg = { Fuzz.Campaign.default with Fuzz.Campaign.programs = 300 } in
-  let entry r = Obs.Json.to_string (Obs.Export.summary [ Fuzz.Campaign.export_entry r ]) in
-  let seq = entry (Fuzz.Campaign.run ~jobs:1 ~wall:false cfg) in
-  let par = entry (Fuzz.Campaign.run ~jobs ~wall:false cfg) in
-  if not (String.equal seq par) then begin
-    Printf.eprintf
-      "par-determ: fuzz jobs=%d export differs from sequential\n--- sequential ---\n%s\n--- \
-       jobs=%d ---\n%s\n"
-      jobs seq jobs par;
-    exit 1
-  end;
-  Printf.printf "par-determ: fuzz jobs=%d export is byte-identical to sequential (%d bytes)\n" jobs
-    (String.length seq)
+  List.iter
+    (fun (name, entry) ->
+      let bytes jobs = Obs.Json.to_string (Obs.Export.summary [ entry jobs ]) in
+      let seq = bytes 1 and par = bytes jobs in
+      if not (String.equal seq par) then begin
+        Printf.eprintf
+          "par-determ: %s fuzz jobs=%d export differs from sequential\n--- sequential ---\n%s\n--- \
+           jobs=%d ---\n%s\n"
+          name jobs seq jobs par;
+        exit 1
+      end;
+      Printf.printf "par-determ: %s fuzz jobs=%d export is byte-identical to sequential (%d bytes)\n"
+        name jobs (String.length seq))
+    [
+      ( "lockstep",
+        fun jobs ->
+          Fuzz.Campaign.export_entry
+            (Fuzz.Campaign.run ~jobs ~wall:false
+               { Fuzz.Campaign.default with Fuzz.Campaign.programs = 300 }) );
+      ( "kernel",
+        fun jobs ->
+          Fuzz.Kfuzz.export_entry
+            (Fuzz.Kfuzz.run ~jobs ~wall:false { Fuzz.Kfuzz.default with Fuzz.Kfuzz.programs = 300 })
+      );
+    ]
 
 let () =
   check_fuzz_determinism ();

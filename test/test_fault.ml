@@ -219,11 +219,16 @@ let test_campaign_checkpoint_resume () =
   let full = Fault.Campaign.run cfg in
   let path = Filename.temp_file "cheri-fault-ckpt" ".json" in
   (* Interrupt after 8 seeds, then resume to the end. *)
-  let _ = Fault.Campaign.run ~checkpoint:path ~checkpoint_every:4 ~stop_after:8 cfg in
+  let _ = Fault.Campaign.run ~checkpoint:path ~stop_after:8 cfg in
   let resumed = Fault.Campaign.run ~checkpoint:path ~resume:true cfg in
   Sys.remove path;
   Alcotest.(check (list int))
-    "resumed tallies equal uninterrupted" (summary_tallies full) (summary_tallies resumed)
+    "resumed tallies equal uninterrupted" (summary_tallies full) (summary_tallies resumed);
+  (* Resuming needs a checkpoint to resume from: without a path the
+     campaign is refused, not silently restarted at seed 0. *)
+  match Fault.Campaign.run ~resume:true cfg with
+  | _ -> Alcotest.fail "resume without a checkpoint path was not refused"
+  | exception Fault.Checkpoint.Refused _ -> ()
 
 (* --- seeded bounds corruption: detection vs silent corruption --------------- *)
 

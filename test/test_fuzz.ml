@@ -174,27 +174,79 @@ let test_checkpoint_roundtrip () =
 
 let export_bytes r = Obs.Json.to_string (Obs.Export.summary [ Fuzz.Campaign.export_entry r ])
 
-let test_campaign_resume_identical () =
+(* The two campaign families [Fault.Checkpoint.run] serves, each as a
+   function of its run knobs to the final export's bytes. *)
+let instruction_campaign ~jobs ~checkpoint ~resume ~stop_after =
   let cfg = { (small Fuzz.Campaign.default) with Fuzz.Campaign.programs = 300 } in
-  let full = Fuzz.Campaign.run ~jobs:4 ~wall:false cfg in
-  let path = Filename.temp_file "cheri-fuzz-resume" ".json" in
-  (* Interrupt after 150 programs (mid-chunk: 150 is not a multiple of the
-     128-seed shard), then resume with a different domain count. *)
-  let _ = Fuzz.Campaign.run ~jobs:2 ~wall:false ~checkpoint:path ~stop_after:150 cfg in
-  let resumed = Fuzz.Campaign.run ~jobs:4 ~wall:false ~checkpoint:path ~resume:true cfg in
-  Sys.remove path;
-  Alcotest.(check string)
-    "resumed export is byte-identical to uninterrupted" (export_bytes full) (export_bytes resumed)
+  export_bytes (Fuzz.Campaign.run ~jobs ~wall:false ?checkpoint ~resume ?stop_after cfg)
+
+let kernel_campaign ~jobs ~checkpoint ~resume ~stop_after =
+  let cfg = { Fuzz.Kfuzz.default with Fuzz.Kfuzz.programs = 300 } in
+  let r = Fuzz.Kfuzz.run ~jobs ~wall:false ?checkpoint ~resume ?stop_after cfg in
+  Obs.Json.to_string (Obs.Export.summary [ Fuzz.Kfuzz.export_entry r ])
+
+let test_campaign_resume_identical () =
+  List.iter
+    (fun (name, campaign) ->
+      let full = campaign ~jobs:4 ~checkpoint:None ~resume:false ~stop_after:None in
+      let path = Filename.temp_file "cheri-fuzz-resume" ".json" in
+      (* Interrupt after 150 programs (mid-chunk: 150 is not a multiple of
+         the 128-seed shard), then resume with a different domain count. *)
+      ignore (campaign ~jobs:2 ~checkpoint:(Some path) ~resume:false ~stop_after:(Some 150));
+      let resumed = campaign ~jobs:4 ~checkpoint:(Some path) ~resume:true ~stop_after:None in
+      Alcotest.(check string)
+        (name ^ ": resumed export is byte-identical to uninterrupted")
+        full resumed;
+      (* A missing checkpoint file is a campaign that has not started yet. *)
+      Sys.remove path;
+      let fresh = campaign ~jobs:1 ~checkpoint:(Some path) ~resume:true ~stop_after:None in
+      Sys.remove path;
+      Alcotest.(check string) (name ^ ": resume from a missing file starts at seed 0") full fresh)
+    [ ("instructions", instruction_campaign); ("kernel", kernel_campaign) ]
 
 let test_campaign_resume_rejects_mismatch () =
   let cfg = { (small Fuzz.Campaign.default) with Fuzz.Campaign.programs = 64 } in
   let path = Filename.temp_file "cheri-fuzz-resume-mismatch" ".json" in
   let _ = Fuzz.Campaign.run ~wall:false ~checkpoint:path ~stop_after:32 cfg in
-  let other = { cfg with Fuzz.Campaign.base_seed = 99L } in
-  (match Fuzz.Campaign.run ~wall:false ~checkpoint:path ~resume:true other with
-  | _ -> Alcotest.fail "resume accepted a checkpoint from a different campaign"
-  | exception Fuzz.Campaign.Resume_mismatch _ -> ());
+  let refused what cfg =
+    match Fuzz.Campaign.run ~wall:false ~checkpoint:path ~resume:true cfg with
+    | _ -> Alcotest.failf "resume accepted %s" what
+    | exception Fault.Checkpoint.Refused _ -> ()
+  in
+  refused "a checkpoint from a different campaign" { cfg with Fuzz.Campaign.base_seed = 99L };
+  let c = match Fault.Checkpoint.load path with Ok c -> c | Error msg -> Alcotest.fail msg in
+  List.iter
+    (fun (what, c) ->
+      Fault.Checkpoint.save path c;
+      refused what cfg)
+    [
+      ("a cursor past the end", { c with Fault.Checkpoint.next = 500 });
+      ("a negative cursor", { c with Fault.Checkpoint.next = -200 });
+      ("a total for another seed count", { c with Fault.Checkpoint.total = 300 });
+      ("another kind of campaign", { c with Fault.Checkpoint.kind = "fault" });
+      ("a checkpoint without histograms", { c with Fault.Checkpoint.hists = [] });
+    ];
   Sys.remove path
+
+(* Host time accumulates across a resume, so a resumed campaign's rate
+   divides the whole campaign's instret by the whole campaign's time;
+   with wall clocks off it stays 0.0. *)
+let test_campaign_resume_accumulates_wall () =
+  let cfg = { (small Fuzz.Campaign.default) with Fuzz.Campaign.programs = 64 } in
+  let path = Filename.temp_file "cheri-fuzz-resume-wall" ".json" in
+  let _ = Fuzz.Campaign.run ~checkpoint:path ~stop_after:32 cfg in
+  (match Fault.Checkpoint.load path with
+  | Error msg -> Alcotest.fail msg
+  | Ok c ->
+      let counters = List.remove_assoc "wall_us" c.Fault.Checkpoint.counters in
+      Fault.Checkpoint.save path
+        { c with Fault.Checkpoint.counters = ("wall_us", 10_000_000_000L) :: counters });
+  let resumed = Fuzz.Campaign.run ~checkpoint:path ~resume:true cfg in
+  let unwalled = Fuzz.Campaign.run ~wall:false ~checkpoint:path ~resume:true cfg in
+  Sys.remove path;
+  Alcotest.(check bool) "10,000 s of prior host time counted" true
+    (resumed.Fuzz.Campaign.wall_s >= 10_000.);
+  Alcotest.(check (float 0.0)) "no wall clock, no host time" 0.0 unwalled.Fuzz.Campaign.wall_s
 
 let suites =
   [
@@ -212,5 +264,7 @@ let suites =
         Alcotest.test_case "resume is byte-identical" `Quick test_campaign_resume_identical;
         Alcotest.test_case "resume rejects foreign checkpoints" `Quick
           test_campaign_resume_rejects_mismatch;
+        Alcotest.test_case "resume accumulates host time" `Quick
+          test_campaign_resume_accumulates_wall;
       ] );
   ]
