@@ -376,7 +376,7 @@ let micro ~quick () =
     Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
     Test.make ~name:"interpreter: 200-instruction loop"
       (Staged.stage (fun () ->
-           m.Machine.pc <- program.Asm.Assembler.entry;
+           Machine.set_pc m program.Asm.Assembler.entry;
            ignore (Machine.run_result ~max_insns:1_000L m : Machine.run_result)))
   in
   let cache =
@@ -403,12 +403,12 @@ let micro ~quick () =
     Asm.Assembler.load m program;
     Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
     Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
-    m.Machine.pc <- program.Asm.Assembler.entry;
+    Machine.set_pc m program.Asm.Assembler.entry;
     ignore (Machine.run_result ~max_insns:1_000L m : Machine.run_result);
     (* warm *)
     Test.make ~name:"step, decode-cache hit (1 insn)"
       (Staged.stage (fun () ->
-           m.Machine.pc <- program.Asm.Assembler.entry;
+           Machine.set_pc m program.Asm.Assembler.entry;
            Machine.step m))
   in
   let sb_dispatch =
@@ -426,12 +426,12 @@ let micro ~quick () =
     Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
     Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
     Machine.set_engine m Machine.Superblock;
-    m.Machine.pc <- program.Asm.Assembler.entry;
+    Machine.set_pc m program.Asm.Assembler.entry;
     ignore (Machine.run_result ~max_insns:1_000L m : Machine.run_result);
     (* warm: blocks formed *)
     Test.make ~name:"sb_step, superblock dispatch (1 block)"
       (Staged.stage (fun () ->
-           m.Machine.pc <- program.Asm.Assembler.entry;
+           Machine.set_pc m program.Asm.Assembler.entry;
            Machine.sb_step m ~fuel:64))
   in
   let cold_fetch =
@@ -448,13 +448,13 @@ let micro ~quick () =
     Asm.Assembler.load m program;
     Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
     Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
-    m.Machine.pc <- 0x1000L;
+    Machine.set_pc m 0x1000L;
     Machine.step m;
     Test.make ~name:"step, decode-cache conflict miss (2 insns)"
       (Staged.stage (fun () ->
-           m.Machine.pc <- 0x1000L;
+           Machine.set_pc m 0x1000L;
            Machine.step m;
-           m.Machine.pc <- 0x11000L;
+           Machine.set_pc m 0x11000L;
            Machine.step m))
   in
   let tlb_hit =

@@ -535,6 +535,6 @@ let load (m : Machine.t) program =
       Mem.Phys.write_bytes m.Machine.phys base (Bytes.of_string bytes);
       Machine.map_identity m ~vaddr:base ~len:(String.length bytes) Mem.Tlb.prot_rwx)
     program.segments;
-  m.Machine.pc <- program.entry
+  Machine.set_pc m program.entry
 
 let symbol program name = Hashtbl.find_opt program.symbols name

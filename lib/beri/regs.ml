@@ -1,20 +1,49 @@
 (* The general-purpose register file: 32 64-bit registers with $0 hardwired
-   to zero, plus the HI/LO multiply-divide pair. *)
+   to zero, plus the HI/LO multiply-divide pair.
 
-type t = { r : int64 array; mutable hi : int64; mutable lo : int64 }
+   The registers live unboxed in one byte image, 8 bytes each: GPR i at
+   byte [8 * i], HI at [hi_off], LO at [lo_off].  The interpreter reads
+   and writes the image through the [get64]/[set64] primitives, so a
+   register write stores a machine word instead of allocating an [int64]
+   box.  [$0]'s slot is never written, so it reads 0 without a branch. *)
 
-let create () = { r = Array.make 32 0L; hi = 0L; lo = 0L }
+type t = Bytes.t
 
-let get t i = if i = 0 then 0L else t.r.(i)
+external get64 : t -> int -> int64 = "%caml_bytes_get64"
+external set64 : t -> int -> int64 -> unit = "%caml_bytes_set64"
 
-let set t i v = if i <> 0 then t.r.(i) <- v
+let hi_off = 8 * 32
+let lo_off = 8 * 33
+let create () = Bytes.make (8 * 34) '\000'
 
-let copy t = { r = Array.copy t.r; hi = t.hi; lo = t.lo }
+let check i name = if i < 0 || i > 31 then invalid_arg name
 
-let load t src =
-  Array.blit src.r 0 t.r 0 32;
-  t.hi <- src.hi;
-  t.lo <- src.lo
+let get t i =
+  check i "Regs.get";
+  get64 t (i lsl 3)
+
+let set t i v =
+  check i "Regs.set";
+  if i <> 0 then set64 t (i lsl 3) v
+
+let hi t = get64 t hi_off
+let lo t = get64 t lo_off
+let set_hi t v = set64 t hi_off v
+let set_lo t v = set64 t lo_off v
+let copy = Bytes.copy
+let load t src = Bytes.blit src 0 t 0 (Bytes.length t)
+let equal = Bytes.equal
+
+let diff a b =
+  if equal a b then None
+  else
+    let rec first i =
+      if i > 31 then Some (if Int64.equal (hi a) (hi b) then "lo differs" else "hi differs")
+      else
+        let x = get64 a (i lsl 3) and y = get64 b (i lsl 3) in
+        if Int64.equal x y then first (i + 1) else Some (Printf.sprintf "r%d: 0x%Lx vs 0x%Lx" i x y)
+    in
+    first 1
 
 (* Conventional MIPS ABI register assignments used by the assembler,
    compiler, and kernel. *)

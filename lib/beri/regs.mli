@@ -1,7 +1,7 @@
 (** The general-purpose register file: 32 64-bit registers with $0
-    hardwired to zero, plus HI/LO. *)
+    hardwired to zero, plus HI/LO, held unboxed in one byte image. *)
 
-type t = { r : int64 array; mutable hi : int64; mutable lo : int64 }
+type t
 
 val create : unit -> t
 
@@ -11,10 +11,34 @@ val get : t -> int -> int64
 (** Writes to register 0 are discarded. *)
 val set : t -> int -> int64 -> unit
 
+val hi : t -> int64
+val lo : t -> int64
+val set_hi : t -> int64 -> unit
+val set_lo : t -> int64 -> unit
 val copy : t -> t
 
 (** [load t src] overwrites [t] with [src] (context restore). *)
 val load : t -> t -> unit
+
+(** Every register and HI/LO equal, compared without boxing. *)
+val equal : t -> t -> bool
+
+(** [None] when [equal]; otherwise the first difference, for a failure
+    report: ["r<i>: 0x<a> vs 0x<b>"] for the lowest differing GPR, else
+    ["hi differs"] or ["lo differs"]. *)
+val diff : t -> t -> string option
+
+(** {1 Unboxed image access}
+
+    For the interpreter's hot path: the 64-bit word at byte offset [off]
+    of the image, bounds-checked.  GPR [i] sits at [8 * i] and must never
+    be written at [i = 0]; HI and LO sit at [hi_off] and [lo_off]. *)
+
+external get64 : t -> int -> int64 = "%caml_bytes_get64"
+external set64 : t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+val hi_off : int
+val lo_off : int
 
 (** {1 ABI register numbers} *)
 

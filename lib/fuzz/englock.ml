@@ -84,14 +84,9 @@ let result_class = function
 let compare_final (ms : Machine.t) (mp : Machine.t) =
   let diff = ref None in
   let note what = if !diff = None then diff := Some what in
-  if ms.Machine.pc <> mp.Machine.pc then
-    note (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" ms.Machine.pc mp.Machine.pc);
-  for i = 1 to 31 do
-    let a = Machine.gpr ms i and b = Machine.gpr mp i in
-    if a <> b then note (Printf.sprintf "r%d: 0x%Lx vs 0x%Lx" i a b)
-  done;
-  if ms.Machine.regs.Beri.Regs.hi <> mp.Machine.regs.Beri.Regs.hi then note "hi differs";
-  if ms.Machine.regs.Beri.Regs.lo <> mp.Machine.regs.Beri.Regs.lo then note "lo differs";
+  if not (Machine.same_pc ms mp) then
+    note (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" (Machine.pc ms) (Machine.pc mp));
+  Option.iter note (Beri.Regs.diff ms.Machine.regs mp.Machine.regs);
   for j = 0 to 31 do
     if not (Cap.Capability.equal (Machine.cap ms j) (Machine.cap mp j)) then
       note

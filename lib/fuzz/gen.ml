@@ -121,8 +121,8 @@ let reset m cfg seed =
   for i = 1 to 31 do
     Machine.set_gpr m i 0L
   done;
-  m.Machine.regs.Regs.hi <- 0L;
-  m.Machine.regs.Regs.lo <- 0L;
+  Regs.set_hi m.Machine.regs 0L;
+  Regs.set_lo m.Machine.regs 0L;
   for i = 8 to 11 do
     Machine.set_gpr m i (Fault.Prng.int64 p 4096L)
   done;
@@ -157,7 +157,7 @@ let reset m cfg seed =
   Machine.set_cap m 7 (mk (Int64.of_int seal_otype) 64L);
   Machine.set_cap m 8 (if cfg.wide then mk 0L wide_len else mk 0L (Int64.of_int mem_size));
   m.Machine.pcc <- mk 0L (Int64.of_int mem_size);
-  m.Machine.pc <- code_base;
+  Machine.set_pc m code_base;
   m.Machine.ll_bit <- false;
   let cp0 = m.Machine.cp0 in
   cp0.Cp0.mode <- Cp0.Kernel;

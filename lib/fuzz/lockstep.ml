@@ -83,21 +83,11 @@ let cap_obs_equal a b =
    step, or [None].  Descriptions are only materialised on the failure
    path. *)
 let compare_states (m256 : Machine.t) (m128 : Machine.t) ev256 ev128 =
-  if m256.Machine.pc <> m128.Machine.pc then
-    Some (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" m256.Machine.pc m128.Machine.pc)
+  if not (Machine.same_pc m256 m128) then
+    Some (Printf.sprintf "pc: 0x%Lx vs 0x%Lx" (Machine.pc m256) (Machine.pc m128))
   else begin
-    let diff = ref None in
-    (* scalar registers *)
-    let i = ref 1 in
-    while !diff = None && !i < 32 do
-      let a = Machine.gpr m256 !i and b = Machine.gpr m128 !i in
-      if a <> b then diff := Some (Printf.sprintf "r%d: 0x%Lx vs 0x%Lx" !i a b);
-      incr i
-    done;
-    if !diff = None && m256.Machine.regs.Beri.Regs.hi <> m128.Machine.regs.Beri.Regs.hi then
-      diff := Some "hi differs";
-    if !diff = None && m256.Machine.regs.Beri.Regs.lo <> m128.Machine.regs.Beri.Regs.lo then
-      diff := Some "lo differs";
+    (* scalar registers: one image compare *)
+    let diff = ref (Beri.Regs.diff m256.Machine.regs m128.Machine.regs) in
     (* capability registers + pcc *)
     let j = ref 0 in
     while !diff = None && !j < 32 do

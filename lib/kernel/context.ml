@@ -22,14 +22,14 @@ let save (m : Machine.t) =
     gprs = Regs.copy m.Machine.regs;
     caps = Array.copy m.Machine.caps;
     pcc = m.Machine.pcc;
-    pc = m.Machine.pc;
+    pc = Machine.pc m;
   }
 
 let restore (m : Machine.t) t =
   Regs.load m.Machine.regs t.gprs;
   Array.blit t.caps 0 m.Machine.caps 0 32;
   m.Machine.pcc <- t.pcc;
-  m.Machine.pc <- t.pc
+  Machine.set_pc m t.pc
 
 (* Bytes moved per switch — the metric the paper's "context-switch
    overhead" remark refers to: 32 GPRs x 8 B + (32 caps + PCC) x 32 B. *)

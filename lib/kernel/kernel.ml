@@ -345,7 +345,7 @@ let exec t (program : Asm.Assembler.program) =
   m.Machine.pcc <- user_space;
   Machine.set_gpr m Regs.sp (Int64.sub t.stack_top 32L);
   m.Machine.cp0.Cp0.mode <- Cp0.User;
-  m.Machine.pc <- program.Asm.Assembler.entry;
+  Machine.set_pc m program.Asm.Assembler.entry;
   t.brk <- Layout.heap_base
 
 (* Boot a pre-assembled program, run it, and report the

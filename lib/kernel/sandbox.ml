@@ -37,7 +37,7 @@ let enter (m : Machine.t) ~base ~length ~entry =
     Machine.set_cap m i Cap.Capability.null
   done;
   m.Machine.pcc <- region (Cap.Perms.union Cap.Perms.execute Cap.Perms.global);
-  m.Machine.pc <- entry;
+  Machine.set_pc m entry;
   (* Legacy code addresses memory C0-relative, so rebase SP to the top of
      the sandbox region. *)
   Machine.set_gpr m Regs.sp (Int64.sub length 32L);

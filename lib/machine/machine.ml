@@ -75,7 +75,9 @@ type t = {
   regs : Regs.t;
   caps : Cap.Capability.t array; (* 32 capability registers; index 0 = C0 *)
   mutable pcc : Cap.Capability.t;
-  mutable pc : int64;
+  pc_cell : Bytes.t;
+      (* the PC, unboxed in 8 bytes like the register image; read and
+         written through [pc]/[set_pc] *)
   cp0 : Cp0.t;
   phys : Mem.Phys.t;
   tags : Mem.Tags.t;
@@ -181,7 +183,7 @@ let create ?(config = default_config) () =
     regs = Regs.create ();
     caps = Array.make 32 Cap.Capability.almighty;
     pcc = Cap.Capability.almighty;
-    pc = 0L;
+    pc_cell = Bytes.make 8 '\000';
     cp0 = Cp0.create ();
     phys = Mem.Phys.create ~size_bytes:config.mem_size;
     tags =
@@ -220,9 +222,26 @@ let set_trace_hook t f = t.on_trace <- f
 let set_step_hook t f = t.on_step <- f
 let set_store_hook t f = t.on_store <- f
 
+(* Unboxed state access.  Inlined, so inside this module a PC or register
+   value stays in a machine register; callers in other modules get the
+   boxed [int64] at the call boundary.  [i] is a register number, 0..31;
+   slot 0 is never written, so it reads 0. *)
+external cell_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external cell_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let[@inline] pc t = cell_get64 t.pc_cell 0
+let[@inline] set_pc t v = cell_set64 t.pc_cell 0 v
+let same_pc a b = Int64.equal (pc a) (pc b)
+let[@inline] gpr t i = Regs.get64 t.regs (i lsl 3)
+let[@inline] set_gpr t i v = if i <> 0 then Regs.set64 t.regs (i lsl 3) v
+let[@inline] hi t = Regs.get64 t.regs Regs.hi_off
+let[@inline] lo t = Regs.get64 t.regs Regs.lo_off
+let[@inline] set_hi t v = Regs.set64 t.regs Regs.hi_off v
+let[@inline] set_lo t v = Regs.set64 t.regs Regs.lo_off v
+
 (* Attach (or detach, with [None]) the observability probe.  A probe that
    carries an attribution table additionally hooks the memory hierarchy
-   and the tag table: the installed closures read [t.pc] — which still
+   and the tag table: the installed closures read the PC — which still
    holds the in-flight instruction's address during execute — so every
    miss, DRAM transfer, and tag write lands on the PC that caused it. *)
 let set_probe t p =
@@ -230,16 +249,14 @@ let set_probe t p =
   match Option.bind p Obs.Probe.attrib with
   | Some a ->
       t.hier.Mem.Hierarchy.on_event <-
-        Some (fun ev ~addr -> Obs.Attrib.record a ~pc:t.pc ~addr ev);
+        Some (fun ev ~addr -> Obs.Attrib.record a ~pc:(pc t) ~addr ev);
       Mem.Tags.set_on_write t.tags
-        (Some (fun ~set ~addr -> Obs.Attrib.record a ~pc:t.pc ~addr (Obs.Attrib.Tag_write set)))
+        (Some (fun ~set ~addr -> Obs.Attrib.record a ~pc:(pc t) ~addr (Obs.Attrib.Tag_write set)))
   | None ->
       t.hier.Mem.Hierarchy.on_event <- None;
       Mem.Tags.set_on_write t.tags None
 let set_timing t b = t.timing <- b
 
-let gpr t i = Regs.get t.regs i
-let set_gpr t i v = Regs.set t.regs i v
 let cap t i = t.caps.(i)
 let set_cap t i c = t.caps.(i) <- c
 
@@ -291,15 +308,15 @@ type snapshot = {
 let snapshot ?(cause = "snapshot") t =
   {
     snap_cause = cause;
-    snap_pc = t.pc;
+    snap_pc = pc t;
     snap_exc = t.cp0.Cp0.last_exc;
     snap_badvaddr = t.cp0.Cp0.badvaddr;
     snap_capcause = t.cp0.Cp0.capcause;
     snap_capreg = t.cp0.Cp0.capcause_reg;
-    snap_insn_word = (try Some (Mem.Phys.read_u32 t.phys t.pc) with _ -> None);
+    snap_insn_word = (try Some (Mem.Phys.read_u32 t.phys (pc t)) with _ -> None);
     snap_gprs = Array.init 32 (fun i -> Regs.get t.regs i);
-    snap_hi = t.regs.Regs.hi;
-    snap_lo = t.regs.Regs.lo;
+    snap_hi = Regs.hi t.regs;
+    snap_lo = Regs.lo t.regs;
     snap_caps = Array.copy t.caps;
     snap_pcc = t.pcc;
     snap_instret = Int64.of_int t.instret;
@@ -357,9 +374,11 @@ let pp_run_result ppf = function
 
 (* --- 64-bit helpers ---------------------------------------------------- *)
 
-let sext32 v = Int64.of_int32 (Int64.to_int32 v)
-let sext16 v = if v land 0x8000 <> 0 then Int64.of_int (v - 0x10000) else Int64.of_int v
-let bool64 b = if b then 1L else 0L
+(* Inlined, like the effective-address and branch-target helpers below,
+   so their results stay unboxed inside [execute]. *)
+let[@inline] sext32 v = Int64.of_int32 (Int64.to_int32 v)
+let[@inline] sext16 v = if v land 0x8000 <> 0 then Int64.of_int (v - 0x10000) else Int64.of_int v
+let[@inline] bool64 b = if b then 1L else 0L
 
 (* --- memory access ----------------------------------------------------- *)
 
@@ -403,8 +422,10 @@ let check_page t addr ~write ~size =
 let data_penalty t ~addr ~size ~write =
   if t.timing then charge t (Mem.Hierarchy.access_data t.hier ~addr ~size ~write)
 
-(* Scalar load through an explicit capability [c] (register index [reg]). *)
-let load_scalar t ~reg c ~addr ~width ~unsigned =
+(* Scalar load through an explicit capability [c] (register index [reg])
+   into register [rd].  The register is written inside the [try]: a value
+   returned across it would be boxed. *)
+let load_scalar t ~reg c ~addr ~width ~unsigned rd =
   let size = Insn.width_bytes width in
   check_alignment addr size false;
   check_cap t ~reg c Cap.Capability.Load ~addr ~size;
@@ -412,28 +433,26 @@ let load_scalar t ~reg c ~addr ~width ~unsigned =
   data_penalty t ~addr ~size ~write:false;
   try
     match (width, unsigned) with
-    | Insn.B, true -> Int64.of_int (Mem.Phys.read_u8 t.phys addr)
+    | Insn.B, true -> set_gpr t rd (Int64.of_int (Mem.Phys.read_u8 t.phys addr))
     | Insn.B, false ->
         let v = Mem.Phys.read_u8 t.phys addr in
-        Int64.of_int (if v land 0x80 <> 0 then v - 0x100 else v)
-    | Insn.H, true -> Int64.of_int (Mem.Phys.read_u16 t.phys addr)
-    | Insn.H, false -> sext16 (Mem.Phys.read_u16 t.phys addr)
-    | Insn.W, true -> Int64.of_int (Mem.Phys.read_u32 t.phys addr)
-    | Insn.W, false -> sext32 (Int64.of_int (Mem.Phys.read_u32 t.phys addr))
-    | Insn.D, _ -> Mem.Phys.read_u64 t.phys addr
+        set_gpr t rd (Int64.of_int (if v land 0x80 <> 0 then v - 0x100 else v))
+    | Insn.H, true -> set_gpr t rd (Int64.of_int (Mem.Phys.read_u16 t.phys addr))
+    | Insn.H, false -> set_gpr t rd (sext16 (Mem.Phys.read_u16 t.phys addr))
+    | Insn.W, true -> set_gpr t rd (Int64.of_int (Mem.Phys.read_u32 t.phys addr))
+    | Insn.W, false -> set_gpr t rd (sext32 (Int64.of_int (Mem.Phys.read_u32 t.phys addr)))
+    | Insn.D, _ -> set_gpr t rd (Mem.Phys.read_u64 t.phys addr)
   with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_load, a))
 
-let store_scalar t ~reg c ~addr ~width v =
-  let size = Insn.width_bytes width in
-  check_alignment addr size true;
-  check_cap t ~reg c Cap.Capability.Store ~addr ~size;
-  ignore (check_page t addr ~write:true ~size);
-  data_penalty t ~addr ~size ~write:true;
+(* The write and bookkeeping of a scalar store whose checks have passed.
+   Inlined into both arms of [store_scalar], so [v] is unboxed on the
+   hook-free path: only a D-width write boxes it, for [Mem.Phys]. *)
+let[@inline] write_scalar t ~addr ~size ~width v =
   (try
      match width with
-     | Insn.B -> Mem.Phys.write_u8 t.phys addr (Int64.to_int (Int64.logand v 0xFFL))
-     | Insn.H -> Mem.Phys.write_u16 t.phys addr (Int64.to_int (Int64.logand v 0xFFFFL))
-     | Insn.W -> Mem.Phys.write_u32 t.phys addr (Int64.to_int (Int64.logand v 0xFFFF_FFFFL))
+     | Insn.B -> Mem.Phys.write_u8 t.phys addr (Int64.to_int v land 0xFF)
+     | Insn.H -> Mem.Phys.write_u16 t.phys addr (Int64.to_int v land 0xFFFF)
+     | Insn.W -> Mem.Phys.write_u32 t.phys addr (Int64.to_int v land 0xFFFF_FFFF)
      | Insn.D -> Mem.Phys.write_u64 t.phys addr v
    with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_store, a)));
   t.stores <- t.stores + 1;
@@ -442,8 +461,22 @@ let store_scalar t ~reg c ~addr ~width v =
      the architectural rule that makes in-memory capabilities unforgeable. *)
   Mem.Tags.clear_range t.tags addr size;
   if t.ll_bit && Mem.Tags.line_index t.tags addr = Mem.Tags.line_index t.tags t.ll_addr
-  then t.ll_bit <- false;
-  match t.on_store with Some f -> f addr size v | None -> ()
+  then t.ll_bit <- false
+
+(* Scalar store of register [rs] through capability [c]. *)
+let store_scalar t ~reg c ~addr ~width rs =
+  let size = Insn.width_bytes width in
+  check_alignment addr size true;
+  check_cap t ~reg c Cap.Capability.Store ~addr ~size;
+  ignore (check_page t addr ~write:true ~size);
+  data_penalty t ~addr ~size ~write:true;
+  match t.on_store with
+  | None -> write_scalar t ~addr ~size ~width (gpr t rs)
+  | Some f ->
+      (* One box, shared by a D-width write and the hook. *)
+      let v = Sys.opaque_identity (gpr t rs) in
+      write_scalar t ~addr ~size ~width v;
+      f addr size v
 
 let cap_size t = match t.config.cap_width with W256 -> 32 | W128 -> 16
 
@@ -561,351 +594,378 @@ let cap_op t ~reg result =
       raise (Exn (Cp0.Cp2 cause, 0L))
 
 (* Effective address of a capability-relative access: base + index + imm. *)
-let cap_ea c rt_val imm = Int64.add (Cap.Capability.base c) (Int64.add rt_val (Int64.of_int imm))
+let[@inline] cap_ea c rt_val imm =
+  Int64.add (Cap.Capability.base c) (Int64.add rt_val (Int64.of_int imm))
 
 (* Effective address of a legacy access: C0-relative (Section 4.1). *)
-let legacy_ea t base offset =
+let[@inline] legacy_ea t base offset =
   let va = Int64.add (gpr t base) (sext16 (offset land 0xFFFF)) in
   Int64.add (Cap.Capability.base t.caps.(0)) va
 
-let branch_target pc offset = Int64.add pc (Int64.of_int (4 + (offset * 4)))
+let[@inline] branch_target pc offset = Int64.add pc (Int64.of_int (4 + (offset * 4)))
 
 (* --- the interpreter ----------------------------------------------------- *)
 
-let overflow_add a b =
+let[@inline] overflow_add a b =
   let s = Int64.add a b in
   (Int64.logxor s a) < 0L && (Int64.logxor s b) < 0L
 
-(* Execute one decoded instruction.  Returns the next PC. *)
+(* Execute one decoded instruction and store the next PC — last, because
+   the probe and the attribution closures read the in-flight PC while the
+   instruction executes.  The next PC is let-bound before [set_pc] so that
+   ocamlopt keeps every arm unboxed: passed straight to an inlined
+   function, the match would be boxed in every arm, since some arms return
+   a record field or another module's result. *)
 let execute t insn =
-  let pc = t.pc in
+  let pc = pc t in
   let next = Int64.add pc 4L in
-  match insn with
-  | Insn.Add (d, s, u) ->
-      let a = sext32 (gpr t s) and b = sext32 (gpr t u) in
-      let sum = Int64.add a b in
-      (* 32-bit signed overflow: the 64-bit sum of sign-extended operands
-         falls outside the 32-bit range *)
-      if not (Int64.equal (sext32 sum) sum) then raise (Exn (Cp0.Overflow, 0L));
-      set_gpr t d sum;
-      next
-  | Insn.Addu (d, s, u) -> set_gpr t d (sext32 (Int64.add (gpr t s) (gpr t u))); next
-  | Insn.Dadd (d, s, u) ->
-      if overflow_add (gpr t s) (gpr t u) then raise (Exn (Cp0.Overflow, 0L));
-      set_gpr t d (Int64.add (gpr t s) (gpr t u));
-      next
-  | Insn.Daddu (d, s, u) -> set_gpr t d (Int64.add (gpr t s) (gpr t u)); next
-  | Insn.Sub (d, s, u) ->
-      let diff = Int64.sub (sext32 (gpr t s)) (sext32 (gpr t u)) in
-      if not (Int64.equal (sext32 diff) diff) then raise (Exn (Cp0.Overflow, 0L));
-      set_gpr t d diff;
-      next
-  | Insn.Subu (d, s, u) -> set_gpr t d (sext32 (Int64.sub (gpr t s) (gpr t u))); next
-  | Insn.Dsubu (d, s, u) -> set_gpr t d (Int64.sub (gpr t s) (gpr t u)); next
-  | Insn.And (d, s, u) -> set_gpr t d (Int64.logand (gpr t s) (gpr t u)); next
-  | Insn.Or (d, s, u) -> set_gpr t d (Int64.logor (gpr t s) (gpr t u)); next
-  | Insn.Xor (d, s, u) -> set_gpr t d (Int64.logxor (gpr t s) (gpr t u)); next
-  | Insn.Nor (d, s, u) -> set_gpr t d (Int64.lognot (Int64.logor (gpr t s) (gpr t u))); next
-  | Insn.Slt (d, s, u) -> set_gpr t d (bool64 (Int64.compare (gpr t s) (gpr t u) < 0)); next
-  | Insn.Sltu (d, s, u) -> set_gpr t d (bool64 (Int64.unsigned_compare (gpr t s) (gpr t u) < 0)); next
-  | Insn.Addiu (r, s, i) -> set_gpr t r (sext32 (Int64.add (gpr t s) (sext16 (i land 0xFFFF)))); next
-  | Insn.Daddiu (r, s, i) -> set_gpr t r (Int64.add (gpr t s) (sext16 (i land 0xFFFF))); next
-  | Insn.Andi (r, s, i) -> set_gpr t r (Int64.logand (gpr t s) (Int64.of_int (i land 0xFFFF))); next
-  | Insn.Ori (r, s, i) -> set_gpr t r (Int64.logor (gpr t s) (Int64.of_int (i land 0xFFFF))); next
-  | Insn.Xori (r, s, i) -> set_gpr t r (Int64.logxor (gpr t s) (Int64.of_int (i land 0xFFFF))); next
-  | Insn.Slti (r, s, i) -> set_gpr t r (bool64 (Int64.compare (gpr t s) (sext16 (i land 0xFFFF)) < 0)); next
-  | Insn.Sltiu (r, s, i) ->
-      set_gpr t r (bool64 (Int64.unsigned_compare (gpr t s) (sext16 (i land 0xFFFF)) < 0));
-      next
-  | Insn.Lui (r, i) -> set_gpr t r (sext32 (Int64.shift_left (Int64.of_int (i land 0xFFFF)) 16)); next
-  | Insn.Sll (d, s, sa) -> set_gpr t d (sext32 (Int64.shift_left (gpr t s) sa)); next
-  | Insn.Srl (d, s, sa) ->
-      set_gpr t d (sext32 (Int64.shift_right_logical (Int64.logand (gpr t s) 0xFFFF_FFFFL) sa));
-      next
-  | Insn.Sra (d, s, sa) -> set_gpr t d (sext32 (Int64.shift_right (sext32 (gpr t s)) sa)); next
-  | Insn.Dsll (d, s, sa) -> set_gpr t d (Int64.shift_left (gpr t s) sa); next
-  | Insn.Dsrl (d, s, sa) -> set_gpr t d (Int64.shift_right_logical (gpr t s) sa); next
-  | Insn.Dsra (d, s, sa) -> set_gpr t d (Int64.shift_right (gpr t s) sa); next
-  | Insn.Dsll32 (d, s, sa) -> set_gpr t d (Int64.shift_left (gpr t s) (sa + 32)); next
-  | Insn.Dsrl32 (d, s, sa) -> set_gpr t d (Int64.shift_right_logical (gpr t s) (sa + 32)); next
-  | Insn.Sllv (d, u, s) -> set_gpr t d (sext32 (Int64.shift_left (gpr t u) (Int64.to_int (gpr t s) land 31))); next
-  | Insn.Srlv (d, u, s) ->
-      set_gpr t d (sext32 (Int64.shift_right_logical (Int64.logand (gpr t u) 0xFFFF_FFFFL)
-                      (Int64.to_int (gpr t s) land 31)));
-      next
-  | Insn.Srav (d, u, s) -> set_gpr t d (sext32 (Int64.shift_right (sext32 (gpr t u)) (Int64.to_int (gpr t s) land 31))); next
-  | Insn.Dsllv (d, u, s) -> set_gpr t d (Int64.shift_left (gpr t u) (Int64.to_int (gpr t s) land 63)); next
-  | Insn.Dsrlv (d, u, s) -> set_gpr t d (Int64.shift_right_logical (gpr t u) (Int64.to_int (gpr t s) land 63)); next
-  | Insn.Dsrav (d, u, s) -> set_gpr t d (Int64.shift_right (gpr t u) (Int64.to_int (gpr t s) land 63)); next
-  | Insn.Mult (s, u) ->
-      charge t t.config.mult_cycles;
-      let p = Int64.mul (sext32 (gpr t s)) (sext32 (gpr t u)) in
-      t.regs.Regs.lo <- sext32 p;
-      t.regs.Regs.hi <- sext32 (Int64.shift_right p 32);
-      next
-  | Insn.Multu (s, u) ->
-      charge t t.config.mult_cycles;
-      let a = Int64.logand (gpr t s) 0xFFFF_FFFFL and b = Int64.logand (gpr t u) 0xFFFF_FFFFL in
-      let p = Int64.mul a b in
-      t.regs.Regs.lo <- sext32 p;
-      t.regs.Regs.hi <- sext32 (Int64.shift_right_logical p 32);
-      next
-  | Insn.Dmult (s, u) | Insn.Dmultu (s, u) ->
-      charge t t.config.mult_cycles;
-      (* 128-bit product truncated to LO; HI receives the (approximate) high
-         word — full 128-bit multiply is not needed by any workload. *)
-      t.regs.Regs.lo <- Int64.mul (gpr t s) (gpr t u);
-      t.regs.Regs.hi <- 0L;
-      next
-  | Insn.Div (s, u) ->
-      charge t t.config.div_cycles;
-      let a = sext32 (gpr t s) and b = sext32 (gpr t u) in
-      if Int64.equal b 0L then begin
-        t.regs.Regs.lo <- 0L;
-        t.regs.Regs.hi <- 0L
-      end
-      else begin
-        t.regs.Regs.lo <- sext32 (Int64.div a b);
-        t.regs.Regs.hi <- sext32 (Int64.rem a b)
-      end;
-      next
-  | Insn.Divu (s, u) ->
-      charge t t.config.div_cycles;
-      let a = Int64.logand (gpr t s) 0xFFFF_FFFFL and b = Int64.logand (gpr t u) 0xFFFF_FFFFL in
-      if Int64.equal b 0L then begin
-        t.regs.Regs.lo <- 0L;
-        t.regs.Regs.hi <- 0L
-      end
-      else begin
-        t.regs.Regs.lo <- sext32 (Int64.unsigned_div a b);
-        t.regs.Regs.hi <- sext32 (Int64.unsigned_rem a b)
-      end;
-      next
-  | Insn.Ddiv (s, u) ->
-      charge t t.config.div_cycles;
-      if Int64.equal (gpr t u) 0L then begin
-        t.regs.Regs.lo <- 0L;
-        t.regs.Regs.hi <- 0L
-      end
-      else begin
-        t.regs.Regs.lo <- Int64.div (gpr t s) (gpr t u);
-        t.regs.Regs.hi <- Int64.rem (gpr t s) (gpr t u)
-      end;
-      next
-  | Insn.Ddivu (s, u) ->
-      charge t t.config.div_cycles;
-      if Int64.equal (gpr t u) 0L then begin
-        t.regs.Regs.lo <- 0L;
-        t.regs.Regs.hi <- 0L
-      end
-      else begin
-        t.regs.Regs.lo <- Int64.unsigned_div (gpr t s) (gpr t u);
-        t.regs.Regs.hi <- Int64.unsigned_rem (gpr t s) (gpr t u)
-      end;
-      next
-  | Insn.Mfhi d -> set_gpr t d t.regs.Regs.hi; next
-  | Insn.Mflo d -> set_gpr t d t.regs.Regs.lo; next
-  | Insn.Mthi s -> t.regs.Regs.hi <- gpr t s; next
-  | Insn.Mtlo s -> t.regs.Regs.lo <- gpr t s; next
-  | Insn.Load (w, u, r, b, o) ->
-      let addr = legacy_ea t b o in
-      set_gpr t r (load_scalar t ~reg:0 t.caps.(0) ~addr ~width:w ~unsigned:u);
-      next
-  | Insn.Store (w, r, b, o) ->
-      let addr = legacy_ea t b o in
-      store_scalar t ~reg:0 t.caps.(0) ~addr ~width:w (gpr t r);
-      next
-  | Insn.Lld (r, b, o) ->
-      let addr = legacy_ea t b o in
-      let v = load_scalar t ~reg:0 t.caps.(0) ~addr ~width:Insn.D ~unsigned:false in
-      t.ll_bit <- true;
-      t.ll_addr <- addr;
-      set_gpr t r v;
-      next
-  | Insn.Scd (r, b, o) ->
-      let addr = legacy_ea t b o in
-      if t.ll_bit && Int64.equal addr t.ll_addr then begin
-        store_scalar t ~reg:0 t.caps.(0) ~addr ~width:Insn.D (gpr t r);
-        t.ll_bit <- false;
-        set_gpr t r 1L
-      end
-      else set_gpr t r 0L;
-      next
-  | Insn.J target ->
-      Int64.logor (Int64.logand next 0xFFFF_FFFF_F000_0000L) (Int64.of_int (target * 4))
-  | Insn.Jal target ->
-      set_gpr t Regs.ra next;
-      Int64.logor (Int64.logand next 0xFFFF_FFFF_F000_0000L) (Int64.of_int (target * 4))
-  | Insn.Jr s -> gpr t s
-  | Insn.Jalr (d, s) ->
-      let dest = gpr t s in
-      set_gpr t d next;
-      dest
-  | Insn.Beq (s, u, o) -> if Int64.equal (gpr t s) (gpr t u) then branch_target pc o else next
-  | Insn.Bne (s, u, o) -> if not (Int64.equal (gpr t s) (gpr t u)) then branch_target pc o else next
-  | Insn.Blez (s, o) -> if Int64.compare (gpr t s) 0L <= 0 then branch_target pc o else next
-  | Insn.Bgtz (s, o) -> if Int64.compare (gpr t s) 0L > 0 then branch_target pc o else next
-  | Insn.Bltz (s, o) -> if Int64.compare (gpr t s) 0L < 0 then branch_target pc o else next
-  | Insn.Bgez (s, o) -> if Int64.compare (gpr t s) 0L >= 0 then branch_target pc o else next
-  | Insn.Syscall -> raise (Exn (Cp0.Syscall, 0L))
-  | Insn.Break -> raise (Exn (Cp0.Breakpoint, 0L))
-  | Insn.Eret ->
-      if not (Cp0.in_kernel_mode t.cp0) then raise (Exn (Cp0.Reserved_instruction, 0L));
-      t.cp0.Cp0.exl <- false;
-      t.cp0.Cp0.epc
-  | Insn.Mfc0 (r, d) ->
-      if not (Cp0.in_kernel_mode t.cp0) then raise (Exn (Cp0.Coprocessor_unusable, 0L));
-      set_gpr t r (Cp0.read t.cp0 d);
-      next
-  | Insn.Mtc0 (r, d) ->
-      if not (Cp0.in_kernel_mode t.cp0) then raise (Exn (Cp0.Coprocessor_unusable, 0L));
-      Cp0.write t.cp0 d (gpr t r);
-      next
-  | Insn.Trace (m, a, b) ->
-      t.on_trace t m (gpr t a) (gpr t b);
-      next
-  (* --- CP2 ----------------------------------------------------------- *)
-  | Insn.CGetBase (d, cb) -> set_gpr t d (Cap.Capability.base t.caps.(cb)); next
-  | Insn.CGetLen (d, cb) -> set_gpr t d (Cap.Capability.length t.caps.(cb)); next
-  | Insn.CGetTag (d, cb) -> set_gpr t d (bool64 (Cap.Capability.tag t.caps.(cb))); next
-  | Insn.CGetPerm (d, cb) ->
-      set_gpr t d (Int64.of_int (Cap.Perms.to_int (Cap.Capability.perms t.caps.(cb))));
-      next
-  | Insn.CGetPCC (d, cd) ->
-      t.caps.(cd) <- t.pcc;
-      set_gpr t d pc;
-      next
-  | Insn.CGetCause d ->
-      set_gpr t d
-        (Int64.of_int
-           ((Cap.Cause.code t.cp0.Cp0.capcause lsl 8) lor t.cp0.Cp0.capcause_reg));
-      next
-  | Insn.CIncBase (cd, cb, rt) ->
-      t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.inc_base t.caps.(cb) (gpr t rt));
-      next
-  | Insn.CSetLen (cd, cb, rt) ->
-      t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.set_len t.caps.(cb) (gpr t rt));
-      next
-  | Insn.CClearTag (cd, cb) ->
-      t.caps.(cd) <- Cap.Capability.clear_tag t.caps.(cb);
-      next
-  | Insn.CAndPerm (cd, cb, rt) ->
-      t.caps.(cd) <-
-        cap_op t ~reg:cb
-          (Cap.Capability.and_perm t.caps.(cb)
-             (Cap.Perms.of_int (Int64.to_int (Int64.logand (gpr t rt) 0x7FFF_FFFFL))));
-      next
-  | Insn.CMove (cd, cb) ->
-      t.caps.(cd) <- t.caps.(cb);
-      next
-  | Insn.CToPtr (rd, cb, ct) ->
-      set_gpr t rd (Cap.Capability.to_ptr t.caps.(cb) ~relative_to:t.caps.(ct));
-      next
-  | Insn.CFromPtr (cd, cb, rt) ->
-      t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.from_ptr t.caps.(cb) (gpr t rt));
-      next
-  | Insn.CBTU (cb, o) ->
-      if not (Cap.Capability.tag t.caps.(cb)) then branch_target pc o else next
-  | Insn.CBTS (cb, o) ->
-      if Cap.Capability.tag t.caps.(cb) then branch_target pc o else next
-  | Insn.CLC (cd, cb, rt, i) ->
-      let c = t.caps.(cb) in
-      t.caps.(cd) <- load_cap t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i);
-      next
-  | Insn.CSC (cs, cb, rt, i) ->
-      let c = t.caps.(cb) in
-      store_cap t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i) t.caps.(cs);
-      next
-  | Insn.CLoad (w, u, rd, cb, rt, i) ->
-      let c = t.caps.(cb) in
-      set_gpr t rd (load_scalar t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i) ~width:w ~unsigned:u);
-      next
-  | Insn.CStore (w, rs, cb, rt, i) ->
-      let c = t.caps.(cb) in
-      store_scalar t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i) ~width:w (gpr t rs);
-      next
-  | Insn.CLLD (rd, cb) ->
-      let c = t.caps.(cb) in
-      let addr = Cap.Capability.base c in
-      let v = load_scalar t ~reg:cb c ~addr ~width:Insn.D ~unsigned:false in
-      t.ll_bit <- true;
-      t.ll_addr <- addr;
-      set_gpr t rd v;
-      next
-  | Insn.CSCD (rd, rs, cb) ->
-      let c = t.caps.(cb) in
-      let addr = Cap.Capability.base c in
-      if t.ll_bit && Int64.equal addr t.ll_addr then begin
-        store_scalar t ~reg:cb c ~addr ~width:Insn.D (gpr t rs);
-        t.ll_bit <- false;
-        set_gpr t rd 1L
-      end
-      else set_gpr t rd 0L;
-      next
-  | Insn.CJR cb ->
-      let c = t.caps.(cb) in
-      check_cap t ~reg:cb c Cap.Capability.Execute ~addr:(Cap.Capability.base c) ~size:4;
-      t.pcc <- c;
-      Cap.Capability.base c
-  | Insn.CJALR (cd, cb) ->
-      let c = t.caps.(cb) in
-      check_cap t ~reg:cb c Cap.Capability.Execute ~addr:(Cap.Capability.base c) ~size:4;
-      (* Link: derive a return capability whose base is the return point —
-         a monotonic restriction of the current PCC. *)
-      let delta = Int64.sub next (Cap.Capability.base t.pcc) in
-      t.caps.(cd) <- cap_op t ~reg:cd (Cap.Capability.inc_base t.pcc delta);
-      t.pcc <- c;
-      Cap.Capability.base c
-  | Insn.CSeal (cd, cs, ct) ->
-      let authority = t.caps.(ct) in
-      let ot = Int64.to_int (Int64.logand (Cap.Capability.base authority) 0xFF_FFFFL) in
-      t.caps.(cd) <- cap_op t ~reg:cs (Cap.Capability.seal t.caps.(cs) ~authority ~otype:ot);
-      next
-  | Insn.CUnseal (cd, cs, ct) ->
-      let authority = t.caps.(ct) in
-      let ot = Int64.to_int (Int64.logand (Cap.Capability.base authority) 0xFF_FFFFL) in
-      t.caps.(cd) <-
-        cap_op t ~reg:cs (Cap.Capability.unseal t.caps.(cs) ~authority ~otype:ot);
-      next
-  | Insn.CCall (_, _) ->
-      t.cp0.Cp0.capcause <- Cap.Cause.Call_trap;
-      raise (Exn (Cp0.Cp2 Cap.Cause.Call_trap, 0L))
-  | Insn.CReturn ->
-      t.cp0.Cp0.capcause <- Cap.Cause.Return_trap;
-      raise (Exn (Cp0.Cp2 Cap.Cause.Return_trap, 0L))
+  let next_pc =
+    match insn with
+    | Insn.Add (d, s, u) ->
+        let a = sext32 (gpr t s) and b = sext32 (gpr t u) in
+        let sum = Int64.add a b in
+        (* 32-bit signed overflow: the 64-bit sum of sign-extended operands
+           falls outside the 32-bit range *)
+        if not (Int64.equal (sext32 sum) sum) then raise (Exn (Cp0.Overflow, 0L));
+        set_gpr t d sum;
+        next
+    | Insn.Addu (d, s, u) -> set_gpr t d (sext32 (Int64.add (gpr t s) (gpr t u))); next
+    | Insn.Dadd (d, s, u) ->
+        if overflow_add (gpr t s) (gpr t u) then raise (Exn (Cp0.Overflow, 0L));
+        set_gpr t d (Int64.add (gpr t s) (gpr t u));
+        next
+    | Insn.Daddu (d, s, u) -> set_gpr t d (Int64.add (gpr t s) (gpr t u)); next
+    | Insn.Sub (d, s, u) ->
+        let diff = Int64.sub (sext32 (gpr t s)) (sext32 (gpr t u)) in
+        if not (Int64.equal (sext32 diff) diff) then raise (Exn (Cp0.Overflow, 0L));
+        set_gpr t d diff;
+        next
+    | Insn.Subu (d, s, u) -> set_gpr t d (sext32 (Int64.sub (gpr t s) (gpr t u))); next
+    | Insn.Dsubu (d, s, u) -> set_gpr t d (Int64.sub (gpr t s) (gpr t u)); next
+    | Insn.And (d, s, u) -> set_gpr t d (Int64.logand (gpr t s) (gpr t u)); next
+    | Insn.Or (d, s, u) -> set_gpr t d (Int64.logor (gpr t s) (gpr t u)); next
+    | Insn.Xor (d, s, u) -> set_gpr t d (Int64.logxor (gpr t s) (gpr t u)); next
+    | Insn.Nor (d, s, u) -> set_gpr t d (Int64.lognot (Int64.logor (gpr t s) (gpr t u))); next
+    | Insn.Slt (d, s, u) -> set_gpr t d (bool64 (Int64.compare (gpr t s) (gpr t u) < 0)); next
+    | Insn.Sltu (d, s, u) -> set_gpr t d (bool64 (Int64.unsigned_compare (gpr t s) (gpr t u) < 0)); next
+    | Insn.Addiu (r, s, i) -> set_gpr t r (sext32 (Int64.add (gpr t s) (sext16 (i land 0xFFFF)))); next
+    | Insn.Daddiu (r, s, i) -> set_gpr t r (Int64.add (gpr t s) (sext16 (i land 0xFFFF))); next
+    | Insn.Andi (r, s, i) -> set_gpr t r (Int64.logand (gpr t s) (Int64.of_int (i land 0xFFFF))); next
+    | Insn.Ori (r, s, i) -> set_gpr t r (Int64.logor (gpr t s) (Int64.of_int (i land 0xFFFF))); next
+    | Insn.Xori (r, s, i) -> set_gpr t r (Int64.logxor (gpr t s) (Int64.of_int (i land 0xFFFF))); next
+    | Insn.Slti (r, s, i) -> set_gpr t r (bool64 (Int64.compare (gpr t s) (sext16 (i land 0xFFFF)) < 0)); next
+    | Insn.Sltiu (r, s, i) ->
+        set_gpr t r (bool64 (Int64.unsigned_compare (gpr t s) (sext16 (i land 0xFFFF)) < 0));
+        next
+    | Insn.Lui (r, i) -> set_gpr t r (sext32 (Int64.shift_left (Int64.of_int (i land 0xFFFF)) 16)); next
+    | Insn.Sll (d, s, sa) -> set_gpr t d (sext32 (Int64.shift_left (gpr t s) sa)); next
+    | Insn.Srl (d, s, sa) ->
+        set_gpr t d (sext32 (Int64.shift_right_logical (Int64.logand (gpr t s) 0xFFFF_FFFFL) sa));
+        next
+    | Insn.Sra (d, s, sa) -> set_gpr t d (sext32 (Int64.shift_right (sext32 (gpr t s)) sa)); next
+    | Insn.Dsll (d, s, sa) -> set_gpr t d (Int64.shift_left (gpr t s) sa); next
+    | Insn.Dsrl (d, s, sa) -> set_gpr t d (Int64.shift_right_logical (gpr t s) sa); next
+    | Insn.Dsra (d, s, sa) -> set_gpr t d (Int64.shift_right (gpr t s) sa); next
+    | Insn.Dsll32 (d, s, sa) -> set_gpr t d (Int64.shift_left (gpr t s) (sa + 32)); next
+    | Insn.Dsrl32 (d, s, sa) -> set_gpr t d (Int64.shift_right_logical (gpr t s) (sa + 32)); next
+    | Insn.Sllv (d, u, s) -> set_gpr t d (sext32 (Int64.shift_left (gpr t u) (Int64.to_int (gpr t s) land 31))); next
+    | Insn.Srlv (d, u, s) ->
+        set_gpr t d (sext32 (Int64.shift_right_logical (Int64.logand (gpr t u) 0xFFFF_FFFFL)
+                        (Int64.to_int (gpr t s) land 31)));
+        next
+    | Insn.Srav (d, u, s) -> set_gpr t d (sext32 (Int64.shift_right (sext32 (gpr t u)) (Int64.to_int (gpr t s) land 31))); next
+    | Insn.Dsllv (d, u, s) -> set_gpr t d (Int64.shift_left (gpr t u) (Int64.to_int (gpr t s) land 63)); next
+    | Insn.Dsrlv (d, u, s) -> set_gpr t d (Int64.shift_right_logical (gpr t u) (Int64.to_int (gpr t s) land 63)); next
+    | Insn.Dsrav (d, u, s) -> set_gpr t d (Int64.shift_right (gpr t u) (Int64.to_int (gpr t s) land 63)); next
+    | Insn.Mult (s, u) ->
+        charge t t.config.mult_cycles;
+        let p = Int64.mul (sext32 (gpr t s)) (sext32 (gpr t u)) in
+        set_lo t (sext32 p);
+        set_hi t (sext32 (Int64.shift_right p 32));
+        next
+    | Insn.Multu (s, u) ->
+        charge t t.config.mult_cycles;
+        let a = Int64.logand (gpr t s) 0xFFFF_FFFFL and b = Int64.logand (gpr t u) 0xFFFF_FFFFL in
+        let p = Int64.mul a b in
+        set_lo t (sext32 p);
+        set_hi t (sext32 (Int64.shift_right_logical p 32));
+        next
+    | Insn.Dmult (s, u) | Insn.Dmultu (s, u) ->
+        charge t t.config.mult_cycles;
+        (* 128-bit product truncated to LO; HI receives the (approximate) high
+           word — full 128-bit multiply is not needed by any workload. *)
+        set_lo t (Int64.mul (gpr t s) (gpr t u));
+        set_hi t 0L;
+        next
+    | Insn.Div (s, u) ->
+        charge t t.config.div_cycles;
+        let a = sext32 (gpr t s) and b = sext32 (gpr t u) in
+        if Int64.equal b 0L then begin
+          set_lo t 0L;
+          set_hi t 0L
+        end
+        else begin
+          set_lo t (sext32 (Int64.div a b));
+          set_hi t (sext32 (Int64.rem a b))
+        end;
+        next
+    | Insn.Divu (s, u) ->
+        charge t t.config.div_cycles;
+        let a = Int64.logand (gpr t s) 0xFFFF_FFFFL and b = Int64.logand (gpr t u) 0xFFFF_FFFFL in
+        if Int64.equal b 0L then begin
+          set_lo t 0L;
+          set_hi t 0L
+        end
+        else begin
+          set_lo t (sext32 (Int64.unsigned_div a b));
+          set_hi t (sext32 (Int64.unsigned_rem a b))
+        end;
+        next
+    | Insn.Ddiv (s, u) ->
+        charge t t.config.div_cycles;
+        if Int64.equal (gpr t u) 0L then begin
+          set_lo t 0L;
+          set_hi t 0L
+        end
+        else begin
+          set_lo t (Int64.div (gpr t s) (gpr t u));
+          set_hi t (Int64.rem (gpr t s) (gpr t u))
+        end;
+        next
+    | Insn.Ddivu (s, u) ->
+        charge t t.config.div_cycles;
+        if Int64.equal (gpr t u) 0L then begin
+          set_lo t 0L;
+          set_hi t 0L
+        end
+        else begin
+          set_lo t (Int64.unsigned_div (gpr t s) (gpr t u));
+          set_hi t (Int64.unsigned_rem (gpr t s) (gpr t u))
+        end;
+        next
+    | Insn.Mfhi d -> set_gpr t d (hi t); next
+    | Insn.Mflo d -> set_gpr t d (lo t); next
+    | Insn.Mthi s -> set_hi t (gpr t s); next
+    | Insn.Mtlo s -> set_lo t (gpr t s); next
+    | Insn.Load (w, u, r, b, o) ->
+        load_scalar t ~reg:0 t.caps.(0) ~addr:(legacy_ea t b o) ~width:w ~unsigned:u r;
+        next
+    | Insn.Store (w, r, b, o) ->
+        store_scalar t ~reg:0 t.caps.(0) ~addr:(legacy_ea t b o) ~width:w r;
+        next
+    | Insn.Lld (r, b, o) ->
+        let addr = legacy_ea t b o in
+        load_scalar t ~reg:0 t.caps.(0) ~addr ~width:Insn.D ~unsigned:false r;
+        t.ll_bit <- true;
+        t.ll_addr <- addr;
+        next
+    | Insn.Scd (r, b, o) ->
+        let addr = legacy_ea t b o in
+        if t.ll_bit && Int64.equal addr t.ll_addr then begin
+          store_scalar t ~reg:0 t.caps.(0) ~addr ~width:Insn.D r;
+          t.ll_bit <- false;
+          set_gpr t r 1L
+        end
+        else set_gpr t r 0L;
+        next
+    | Insn.J target ->
+        Int64.logor (Int64.logand next 0xFFFF_FFFF_F000_0000L) (Int64.of_int (target * 4))
+    | Insn.Jal target ->
+        set_gpr t Regs.ra next;
+        Int64.logor (Int64.logand next 0xFFFF_FFFF_F000_0000L) (Int64.of_int (target * 4))
+    | Insn.Jr s -> gpr t s
+    | Insn.Jalr (d, s) ->
+        let dest = gpr t s in
+        set_gpr t d next;
+        dest
+    | Insn.Beq (s, u, o) -> if Int64.equal (gpr t s) (gpr t u) then branch_target pc o else next
+    | Insn.Bne (s, u, o) -> if not (Int64.equal (gpr t s) (gpr t u)) then branch_target pc o else next
+    | Insn.Blez (s, o) -> if Int64.compare (gpr t s) 0L <= 0 then branch_target pc o else next
+    | Insn.Bgtz (s, o) -> if Int64.compare (gpr t s) 0L > 0 then branch_target pc o else next
+    | Insn.Bltz (s, o) -> if Int64.compare (gpr t s) 0L < 0 then branch_target pc o else next
+    | Insn.Bgez (s, o) -> if Int64.compare (gpr t s) 0L >= 0 then branch_target pc o else next
+    | Insn.Syscall -> raise (Exn (Cp0.Syscall, 0L))
+    | Insn.Break -> raise (Exn (Cp0.Breakpoint, 0L))
+    | Insn.Eret ->
+        if not (Cp0.in_kernel_mode t.cp0) then raise (Exn (Cp0.Reserved_instruction, 0L));
+        t.cp0.Cp0.exl <- false;
+        t.cp0.Cp0.epc
+    | Insn.Mfc0 (r, d) ->
+        if not (Cp0.in_kernel_mode t.cp0) then raise (Exn (Cp0.Coprocessor_unusable, 0L));
+        set_gpr t r (Cp0.read t.cp0 d);
+        next
+    | Insn.Mtc0 (r, d) ->
+        if not (Cp0.in_kernel_mode t.cp0) then raise (Exn (Cp0.Coprocessor_unusable, 0L));
+        Cp0.write t.cp0 d (gpr t r);
+        next
+    | Insn.Trace (m, a, b) ->
+        t.on_trace t m (gpr t a) (gpr t b);
+        next
+    (* --- CP2 ----------------------------------------------------------- *)
+    | Insn.CGetBase (d, cb) -> set_gpr t d (Cap.Capability.base t.caps.(cb)); next
+    | Insn.CGetLen (d, cb) -> set_gpr t d (Cap.Capability.length t.caps.(cb)); next
+    | Insn.CGetTag (d, cb) -> set_gpr t d (bool64 (Cap.Capability.tag t.caps.(cb))); next
+    | Insn.CGetPerm (d, cb) ->
+        set_gpr t d (Int64.of_int (Cap.Perms.to_int (Cap.Capability.perms t.caps.(cb))));
+        next
+    | Insn.CGetPCC (d, cd) ->
+        t.caps.(cd) <- t.pcc;
+        set_gpr t d pc;
+        next
+    | Insn.CGetCause d ->
+        set_gpr t d
+          (Int64.of_int
+             ((Cap.Cause.code t.cp0.Cp0.capcause lsl 8) lor t.cp0.Cp0.capcause_reg));
+        next
+    | Insn.CIncBase (cd, cb, rt) ->
+        t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.inc_base t.caps.(cb) (gpr t rt));
+        next
+    | Insn.CSetLen (cd, cb, rt) ->
+        t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.set_len t.caps.(cb) (gpr t rt));
+        next
+    | Insn.CClearTag (cd, cb) ->
+        t.caps.(cd) <- Cap.Capability.clear_tag t.caps.(cb);
+        next
+    | Insn.CAndPerm (cd, cb, rt) ->
+        t.caps.(cd) <-
+          cap_op t ~reg:cb
+            (Cap.Capability.and_perm t.caps.(cb)
+               (Cap.Perms.of_int (Int64.to_int (Int64.logand (gpr t rt) 0x7FFF_FFFFL))));
+        next
+    | Insn.CMove (cd, cb) ->
+        t.caps.(cd) <- t.caps.(cb);
+        next
+    | Insn.CToPtr (rd, cb, ct) ->
+        set_gpr t rd (Cap.Capability.to_ptr t.caps.(cb) ~relative_to:t.caps.(ct));
+        next
+    | Insn.CFromPtr (cd, cb, rt) ->
+        t.caps.(cd) <- cap_op t ~reg:cb (Cap.Capability.from_ptr t.caps.(cb) (gpr t rt));
+        next
+    | Insn.CBTU (cb, o) ->
+        if not (Cap.Capability.tag t.caps.(cb)) then branch_target pc o else next
+    | Insn.CBTS (cb, o) ->
+        if Cap.Capability.tag t.caps.(cb) then branch_target pc o else next
+    | Insn.CLC (cd, cb, rt, i) ->
+        let c = t.caps.(cb) in
+        t.caps.(cd) <- load_cap t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i);
+        next
+    | Insn.CSC (cs, cb, rt, i) ->
+        let c = t.caps.(cb) in
+        store_cap t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i) t.caps.(cs);
+        next
+    | Insn.CLoad (w, u, rd, cb, rt, i) ->
+        let c = t.caps.(cb) in
+        load_scalar t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i) ~width:w ~unsigned:u rd;
+        next
+    | Insn.CStore (w, rs, cb, rt, i) ->
+        let c = t.caps.(cb) in
+        store_scalar t ~reg:cb c ~addr:(cap_ea c (gpr t rt) i) ~width:w rs;
+        next
+    | Insn.CLLD (rd, cb) ->
+        let c = t.caps.(cb) in
+        let addr = Cap.Capability.base c in
+        load_scalar t ~reg:cb c ~addr ~width:Insn.D ~unsigned:false rd;
+        t.ll_bit <- true;
+        t.ll_addr <- addr;
+        next
+    | Insn.CSCD (rd, rs, cb) ->
+        let c = t.caps.(cb) in
+        let addr = Cap.Capability.base c in
+        if t.ll_bit && Int64.equal addr t.ll_addr then begin
+          store_scalar t ~reg:cb c ~addr ~width:Insn.D rs;
+          t.ll_bit <- false;
+          set_gpr t rd 1L
+        end
+        else set_gpr t rd 0L;
+        next
+    | Insn.CJR cb ->
+        let c = t.caps.(cb) in
+        check_cap t ~reg:cb c Cap.Capability.Execute ~addr:(Cap.Capability.base c) ~size:4;
+        t.pcc <- c;
+        Cap.Capability.base c
+    | Insn.CJALR (cd, cb) ->
+        let c = t.caps.(cb) in
+        check_cap t ~reg:cb c Cap.Capability.Execute ~addr:(Cap.Capability.base c) ~size:4;
+        (* Link: derive a return capability whose base is the return point —
+           a monotonic restriction of the current PCC. *)
+        let delta = Int64.sub next (Cap.Capability.base t.pcc) in
+        t.caps.(cd) <- cap_op t ~reg:cd (Cap.Capability.inc_base t.pcc delta);
+        t.pcc <- c;
+        Cap.Capability.base c
+    | Insn.CSeal (cd, cs, ct) ->
+        let authority = t.caps.(ct) in
+        let ot = Int64.to_int (Int64.logand (Cap.Capability.base authority) 0xFF_FFFFL) in
+        t.caps.(cd) <- cap_op t ~reg:cs (Cap.Capability.seal t.caps.(cs) ~authority ~otype:ot);
+        next
+    | Insn.CUnseal (cd, cs, ct) ->
+        let authority = t.caps.(ct) in
+        let ot = Int64.to_int (Int64.logand (Cap.Capability.base authority) 0xFF_FFFFL) in
+        t.caps.(cd) <-
+          cap_op t ~reg:cs (Cap.Capability.unseal t.caps.(cs) ~authority ~otype:ot);
+        next
+    | Insn.CCall (_, _) ->
+        t.cp0.Cp0.capcause <- Cap.Cause.Call_trap;
+        raise (Exn (Cp0.Cp2 Cap.Cause.Call_trap, 0L))
+    | Insn.CReturn ->
+        t.cp0.Cp0.capcause <- Cap.Cause.Return_trap;
+        raise (Exn (Cp0.Cp2 Cap.Cause.Return_trap, 0L))
+  in
+  set_pc t next_pc
+
+(* Authorise a fetch at [pc] against PCC (Section 4.4: the absolute PC
+   is checked against PCC in Execute) and against the TLB page, which
+   still translates underneath (Section 4.1).  Never inlined: both checks
+   take the PC across module boundaries, so a caller boxes it once. *)
+let[@inline never] check_fetch t pc =
+  check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:pc ~size:4;
+  let prot = Mem.Tlb.protection t.hier.Mem.Hierarchy.tlb pc in
+  if not (prot.Mem.Tlb.valid && prot.Mem.Tlb.executable) then raise (Exn (Cp0.Tlb_load, pc))
+
+let[@inline] charge_fetch t =
+  if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~pc:t.pc_cell)
 
 (* The I-side of every retirement, whichever tier supplies the decoded
-   instruction: authorise the fetch at PC against PCC (Section 4.4: the
-   absolute PC is checked against PCC in Execute) and against the TLB
-   page, which still translates underneath (Section 4.1), then charge
-   the I-side hierarchy.  [checked] means the caller has already proven
-   both checks pass for this PC (the superblock's per-block hoist). *)
+   instruction: the fetch checks, then the I-side hierarchy charge.
+   [checked] means the caller has already proven both checks pass for
+   this PC (the superblock's per-block hoist). *)
 let[@inline] ifetch t ~checked =
-  if not checked then begin
-    check_cap t ~reg:0xFF t.pcc Cap.Capability.Execute ~addr:t.pc ~size:4;
-    let prot = Mem.Tlb.protection t.hier.Mem.Hierarchy.tlb t.pc in
-    if not (prot.Mem.Tlb.valid && prot.Mem.Tlb.executable) then
-      raise (Exn (Cp0.Tlb_load, t.pc))
-  end;
-  if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~addr:t.pc)
+  if not checked then check_fetch t (pc t);
+  charge_fetch t
 
-(* Decode-cache miss: the checked fetch, then the word read and decode. *)
+(* Decode-cache miss: the checked fetch, then the word read and decode.
+   One PC box serves the checks and the read. *)
 let fetch t =
-  ifetch t ~checked:false;
+  let pc = Sys.opaque_identity (pc t) in
+  check_fetch t pc;
+  charge_fetch t;
   let word =
-    try Mem.Phys.read_u32 t.phys t.pc
+    try Mem.Phys.read_u32 t.phys pc
     with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_load, a))
   in
   try Code.decode word with Code.Decode_error _ -> raise (Exn (Cp0.Reserved_instruction, 0L))
 
+(* Shadow call stack for the profiler's collapsed-stack output: calls
+   and returns are reported after execute, when register-indirect
+   targets are known.  The minic ABI returns via `jr $ra`. *)
+let note_frame t p insn =
+  match insn with
+  | Insn.Jal _ | Insn.Jalr _ | Insn.CJALR _ -> Obs.Probe.enter_frame p ~callee:(pc t)
+  | Insn.Jr s when s = Regs.ra -> Obs.Probe.exit_frame p
+  | _ -> ()
+
 (* Retire one fetched instruction: the sequence both engines share.  The
    probe classifies and samples over exactly the instret population
-   (markers excluded, instructions that trap in execute counted). *)
+   (markers excluded, instructions that trap in execute counted); a
+   call or return that did not trap then updates its shadow call stack. *)
 let[@inline] retire t insn =
   t.instret <- t.instret + 1;
   charge t 1;
-  (match t.probe with Some p -> Obs.Probe.note p insn ~pc:t.pc | None -> ());
-  t.pc <- execute t insn
+  match t.probe with
+  | None -> execute t insn
+  | Some p ->
+      Obs.Probe.note p insn ~pc:(pc t);
+      execute t insn;
+      note_frame t p insn
 
 let invalidate_icache t =
   Array.fill t.decode_pc 0 decode_slots (-1);
@@ -916,31 +976,32 @@ let invalidate_icache t =
    [step] and the superblock executor, so both engines dispatch traps
    through byte-identical CP0 state updates. *)
 let dispatch_exn t exc badv =
-  t.cp0.Cp0.epc <- t.pc;
+  t.cp0.Cp0.epc <- pc t;
   t.cp0.Cp0.badvaddr <- badv;
   t.cp0.Cp0.last_exc <- Some exc;
   t.cp0.Cp0.exl <- true;
   t.ll_bit <- false;
   t.kernel_entries <- t.kernel_entries + 1;
-  let ctx = { exc; victim_pc = t.pc } in
+  let ctx = { exc; victim_pc = t.cp0.Cp0.epc } in
   match t.kernel t ctx with
   | Resume_at pc ->
       t.cp0.Cp0.exl <- false;
-      t.pc <- pc
+      set_pc t pc
   | Halt code -> raise (Halted code)
   | Fatal -> raise (Unhandled ctx)
 
 let step t =
   (match t.on_step with Some f -> f t | None -> ());
   try
-    let ipc = Int64.to_int t.pc in
+    let pc = pc t in
+    let ipc = Int64.to_int pc in
     (* The int tag must represent the 64-bit PC faithfully: [Int64.to_int]
        alone wraps modulo 2^63, so e.g. 0x8000_0000_0000_1000 and 0x1000
        would share a tag and the cache could serve one PC's decode for the
        other.  A PC the native int cannot hold bypasses the cache (full
        fetch path, architecturally identical); such PCs trap on fetch in
        every real workload anyway. *)
-    let representable = Int64.equal (Int64.of_int ipc) t.pc in
+    let representable = Int64.equal (Int64.of_int ipc) pc in
     let slot = (ipc lsr 2) land decode_mask in
     let insn =
       if representable && Array.unsafe_get t.decode_pc slot = ipc then begin
@@ -962,31 +1023,21 @@ let step t =
         insn
       end
     in
-    (match insn with
-    | Insn.Trace _ -> t.pc <- execute t insn (* instrumentation: free, excluded from instret *)
-    | _ -> retire t insn);
-    (* Shadow call stack for the profiler's collapsed-stack output: calls
-       and returns are reported after execute, when register-indirect
-       targets are known.  The minic ABI returns via `jr $ra`. *)
-    match t.probe with
-    | None -> ()
-    | Some p -> (
-        match insn with
-        | Insn.Jal _ | Insn.Jalr _ | Insn.CJALR _ -> Obs.Probe.enter_frame p ~callee:t.pc
-        | Insn.Jr s when s = Regs.ra -> Obs.Probe.exit_frame p
-        | _ -> ())
+    match insn with
+    | Insn.Trace _ -> execute t insn (* instrumentation: free, excluded from instret *)
+    | _ -> retire t insn
   with Exn (exc, badv) -> dispatch_exn t exc badv
 
 (* --- the superblock tier ------------------------------------------------ *)
 
-(* An instruction that ends a straight-line region: anything whose next PC
-   may differ from pc+4 (control transfers and always-trapping
-   instructions) plus trace markers, which have their own retirement
-   convention.  Everything else returns [next] from [execute]. *)
-let block_terminator = function
+(* The last instruction a block may hold: anything whose next PC may
+   differ from pc+4 — control transfers and always-trapping
+   instructions.  It joins the block, so a loop's back-edge branch
+   retires inside the loop's block. *)
+let ends_block = function
   | Insn.J _ | Insn.Jal _ | Insn.Jr _ | Insn.Jalr _
   | Insn.Beq _ | Insn.Bne _ | Insn.Blez _ | Insn.Bgtz _ | Insn.Bltz _ | Insn.Bgez _
-  | Insn.Syscall | Insn.Break | Insn.Eret | Insn.Trace _
+  | Insn.Syscall | Insn.Break | Insn.Eret
   | Insn.CBTU _ | Insn.CBTS _ | Insn.CJR _ | Insn.CJALR _
   | Insn.CCall _ | Insn.CReturn -> true
   | _ -> false
@@ -996,8 +1047,11 @@ let block_terminator = function
    entries — it stops at the first cold slot — so translation can never
    observe instruction bytes the plain engine would not have decoded, and
    a cold head doubles as the hotness gate: code translates on its second
-   visit, once the first pass has warmed the decode cache.  Returns the
-   pinned code array ([||] when the head is cold or a terminator). *)
+   visit, once the first pass has warmed the decode cache.  A block runs
+   through its first [ends_block] instruction; a trace marker ends it
+   without joining, since markers have their own retirement convention.
+   Returns the pinned code array ([||] when the head is cold or a
+   marker). *)
 let translate t ipc slot =
   let buf = Array.make max_sb_len Insn.Syscall in
   let n = ref 0 in
@@ -1006,17 +1060,17 @@ let translate t ipc slot =
     let a = ipc + (!n * 4) in
     let dslot = (a lsr 2) land decode_mask in
     if Array.unsafe_get t.decode_pc dslot = a then begin
-      let insn = Array.unsafe_get t.decode_insn dslot in
-      if block_terminator insn then continue_ := false
-      else begin
-        Array.unsafe_set buf !n insn;
-        incr n
-      end
+      match Array.unsafe_get t.decode_insn dslot with
+      | Insn.Trace _ -> continue_ := false
+      | insn ->
+          Array.unsafe_set buf !n insn;
+          incr n;
+          if ends_block insn then continue_ := false
     end
     else continue_ := false
   done;
   if !n = 0 then begin
-    (* Pin an empty block for a *warm* terminator head so re-dispatch is a
+    (* Pin an empty block for a *warm* marker head so re-dispatch is a
        single compare; a cold head stays unpinned and will be retried once
        the decode cache has warmed. *)
     let dslot = (ipc lsr 2) land decode_mask in
@@ -1039,31 +1093,32 @@ let translate t ipc slot =
    PC ([ipc]).  Per element this is exactly [step]'s decode-hit path —
    [ifetch] then [retire] — minus the per-step dispatch, tagging, and
    exception-frame overhead, which is where the speed comes from.
-   Elements are straight-line, so [execute] always returns pc+4 and no
-   shadow-call-stack events can occur inside a block.  A trap dispatches
-   through [dispatch_exn] and ends the block.
+   Every element but the last falls through to pc+4; the last may
+   transfer control, and [retire] reports its call or return to the
+   probe as [step] would.  A trap dispatches through [dispatch_exn] and
+   ends the block.
 
-   Nothing writes PCC or the page table mid-block: a step hook sends
-   [sb_step] to [step], a kernel entry ends the block, the probe and the
-   store hook must not write architectural state, and every PCC-writing
-   instruction is a terminator.  Both fetch checks are pure, so when the
-   whole range passes PCC's execute check and lies on one executable
-   page, the per-element checks are no-ops and are hoisted.  Otherwise
-   every element is checked, so the trap lands at exactly the PC — with
-   exactly the cause — the plain engine would report. *)
+   Nothing writes PCC or the page table before the last element: a step
+   hook sends [sb_step] to [step], a kernel entry ends the block, the
+   probe and the store hook must not write architectural state, and
+   every PCC-writing instruction ends a block.  Both fetch checks are
+   pure, so when the whole range passes PCC's execute check and lies on
+   one executable page, the per-element checks are no-ops and are
+   hoisted.  Otherwise every element is checked, so the trap lands at
+   exactly the PC — with exactly the cause — the plain engine would
+   report. *)
 let exec_block t ipc code n =
   t.sb_dispatches <- t.sb_dispatches + 1;
   let len = n * 4 in
   let checked =
     ipc lsr Mem.Tlb.page_bits = (ipc + len - 1) lsr Mem.Tlb.page_bits
-    && (match
-          Cap.Capability.check_access t.pcc Cap.Capability.Execute ~addr:t.pc
-            ~size:(Int64.of_int len)
-        with
-       | Ok () -> true
-       | Error _ -> false)
     &&
-    let prot = Mem.Tlb.protection t.hier.Mem.Hierarchy.tlb t.pc in
+    let pc = Sys.opaque_identity (pc t) in
+    (match Cap.Capability.check_access t.pcc Cap.Capability.Execute ~addr:pc ~size:(Int64.of_int len) with
+    | Ok () -> true
+    | Error _ -> false)
+    &&
+    let prot = Mem.Tlb.protection t.hier.Mem.Hierarchy.tlb pc in
     prot.Mem.Tlb.valid && prot.Mem.Tlb.executable
   in
   let i = ref 0 in
@@ -1085,8 +1140,9 @@ let exec_block t ipc code n =
    [step] outright: it may write architectural state (the fault injector
    rewrites registers and PCC) before any retirement. *)
 let sb_step t ~fuel =
-  let ipc = Int64.to_int t.pc in
-  if fuel <= 0 || Option.is_some t.on_step || not (Int64.equal (Int64.of_int ipc) t.pc)
+  let pc = pc t in
+  let ipc = Int64.to_int pc in
+  if fuel <= 0 || Option.is_some t.on_step || not (Int64.equal (Int64.of_int ipc) pc)
   then step t
   else begin
     let slot = (ipc lsr 2) land sb_mask in
@@ -1110,12 +1166,12 @@ let state_digest t =
     let h = Int64.mul (Int64.logxor h v) 0xFF51_AFD7_ED55_8CCDL in
     Int64.logxor h (Int64.shift_right_logical h 33)
   in
-  let h = ref (mix 0x9E37_79B9_7F4A_7C15L t.pc) in
+  let h = ref (mix 0x9E37_79B9_7F4A_7C15L (pc t)) in
   for i = 1 to 31 do
-    h := mix !h t.regs.Regs.r.(i)
+    h := mix !h (gpr t i)
   done;
-  h := mix !h t.regs.Regs.hi;
-  h := mix !h t.regs.Regs.lo;
+  h := mix !h (hi t);
+  h := mix !h (lo t);
   let mix_cap c =
     h := mix !h (Cap.Capability.base c);
     h := mix !h (Cap.Capability.length c);
@@ -1178,7 +1234,7 @@ let run_result ?(max_insns = Int64.max_int) ?(watchdog = 0) t =
            let d = state_digest t in
            let repeat = ref false in
            for i = 0 to !hist_len - 1 do
-             if Int64.equal hist_pc.(i) t.pc && Int64.equal hist_digest.(i) d then
+             if Int64.equal hist_pc.(i) (pc t) && Int64.equal hist_digest.(i) d then
                repeat := true
            done;
            if !repeat then
@@ -1187,7 +1243,7 @@ let run_result ?(max_insns = Int64.max_int) ?(watchdog = 0) t =
                  (Watchdog_hang
                     (snapshot ~cause:"watchdog: architectural state repeated" t))
            else begin
-             hist_pc.(!hist_next) <- t.pc;
+             hist_pc.(!hist_next) <- pc t;
              hist_digest.(!hist_next) <- d;
              hist_next := (!hist_next + 1) mod watchdog_ring;
              if !hist_len < watchdog_ring then incr hist_len
@@ -1206,7 +1262,7 @@ let run_result ?(max_insns = Int64.max_int) ?(watchdog = 0) t =
       let ctx =
         {
           exc = (match t.cp0.Cp0.last_exc with Some exc -> exc | None -> Cp0.Trap);
-          victim_pc = t.pc;
+          victim_pc = pc t;
         }
       in
       outcome :=
@@ -1287,7 +1343,7 @@ let checkpoint t =
     ck_regs = Regs.copy t.regs;
     ck_caps = Array.copy t.caps;
     ck_pcc = t.pcc;
-    ck_pc = t.pc;
+    ck_pc = pc t;
     ck_mode = t.cp0.Cp0.mode;
     ck_exl = t.cp0.Cp0.exl;
     ck_epc = t.cp0.Cp0.epc;
@@ -1325,7 +1381,7 @@ let restore t (c : checkpoint) =
   Regs.load t.regs c.ck_regs;
   Array.blit c.ck_caps 0 t.caps 0 32;
   t.pcc <- c.ck_pcc;
-  t.pc <- c.ck_pc;
+  set_pc t c.ck_pc;
   t.cp0.Cp0.mode <- c.ck_mode;
   t.cp0.Cp0.exl <- c.ck_exl;
   t.cp0.Cp0.epc <- c.ck_epc;

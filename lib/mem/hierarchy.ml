@@ -229,6 +229,15 @@ let l1_fast_hit l1 line write =
   end
   else false
 
+(* The TLB lookup behind a [tlb_fast_hit] miss: the full [Tlb.touch],
+   charging a refill when the page is not resident. *)
+let tlb_slow t addr =
+  if Tlb.touch t.tlb addr then 0
+  else begin
+    fire t Obs.Attrib.Tlb_miss ~addr;
+    t.config.tlb_refill_cycles
+  end
+
 (* A data access of [size] bytes at [addr]; returns the cycle penalty beyond
    the single-cycle pipeline occupancy. *)
 let access_data t ~addr ~size ~write =
@@ -246,14 +255,7 @@ let access_data t ~addr ~size ~write =
   let iaddr = Int64.to_int addr in
   let first = iaddr lsr t.line_bits in
   let last = (iaddr + max 1 size - 1) lsr t.line_bits in
-  let tlb_cost =
-    if tlb_fast_hit t.tlb (iaddr lsr Tlb.page_bits) then 0
-    else if Tlb.touch t.tlb addr then 0
-    else begin
-      fire t Obs.Attrib.Tlb_miss ~addr;
-      t.config.tlb_refill_cycles
-    end
-  in
+  let tlb_cost = if tlb_fast_hit t.tlb (iaddr lsr Tlb.page_bits) then 0 else tlb_slow t addr in
   if
     first = last
     && (match t.on_event with None -> true | Some _ -> false)
@@ -267,16 +269,17 @@ let access_data t ~addr ~size ~write =
     !cost
   end
 
-let access_insn t ~addr =
-  let iaddr = Int64.to_int addr in
+external pc_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
+(* An instruction fetch at the PC held unboxed in the 8-byte cell [pc]
+   (the machine's PC cell).  The hit paths work on the native-int PC;
+   only a TLB miss reads the exact 64-bit PC back out, boxed, for
+   [Tlb.touch] and the attribution event. *)
+let access_insn t ~pc =
+  let iaddr = Int64.to_int (pc_get64 pc 0) in
   let line = iaddr lsr t.line_bits in
   let tlb_cost =
-    if tlb_fast_hit t.tlb (iaddr lsr Tlb.page_bits) then 0
-    else if Tlb.touch t.tlb addr then 0
-    else begin
-      fire t Obs.Attrib.Tlb_miss ~addr;
-      t.config.tlb_refill_cycles
-    end
+    if tlb_fast_hit t.tlb (iaddr lsr Tlb.page_bits) then 0 else tlb_slow t (pc_get64 pc 0)
   in
   if l1_fast_hit t.l1i line false then tlb_cost
   else tlb_cost + line_access t ~l1:t.l1i ~l1_ev:Obs.Attrib.L1i_miss ~line ~write:false

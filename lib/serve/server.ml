@@ -231,7 +231,7 @@ let serve_one ?trace_id t (req : Workload.request) =
   write_request t req;
   let w = req.Workload.route land (t.n_workers - 1) in
   seed_heap t t.units.(w);
-  m.Machine.pc <- t.serve_pc;
+  Machine.set_pc m t.serve_pc;
   Machine.set_gpr m Regs.sp t.stack_ptr;
   m.Machine.cp0.Cp0.exl <- false;
   t.last_trap <- None;

@@ -21,7 +21,7 @@ let run_insn ?(a = 0L) ?(b = 0L) body =
   Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
   Mem.Phys.write_u64 m.Machine.phys 0L a;
   Mem.Phys.write_u64 m.Machine.phys 8L b;
-  m.Machine.pc <- program.Asm.Assembler.entry;
+  Machine.set_pc m program.Asm.Assembler.entry;
   match Machine.run_result ~max_insns:1_000L m with
   | Machine.Exited 0 -> Machine.gpr m Regs.v1
   | r -> Alcotest.failf "%a" Machine.pp_run_result r

@@ -526,7 +526,7 @@ let test_context_roundtrip () =
   let ctx = Os.Context.save m in
   Machine.set_gpr m 5 0L;
   Machine.set_cap m 7 Cap.Capability.null;
-  m.Machine.pc <- 0xDEADL;
+  Machine.set_pc m 0xDEADL;
   Os.Context.restore m ctx;
   Alcotest.(check int64) "gpr restored" 123L (Machine.gpr m 5);
   Alcotest.(check bool) "cap restored" true
@@ -608,7 +608,7 @@ let test_smc_decode_coherence () =
   Mem.Phys.write_u32 m.Machine.phys patcher (Code.encode (Insn.Store (Insn.W, 9, 8, 0)));
   Mem.Phys.write_u32 m.Machine.phys (Int64.add patcher 4L) (Code.encode Insn.Break);
   let run_at pc =
-    m.Machine.pc <- pc;
+    Machine.set_pc m pc;
     Alcotest.(check int) "exit" 0 (Outcome.exited (Machine.run_result ~max_insns:100L m))
   in
   run_at target;
@@ -655,7 +655,7 @@ let test_smc_superblock_coherence () =
   Mem.Phys.write_u32 m.Machine.phys patcher (Code.encode (Insn.Store (Insn.W, 9, 8, 0)));
   Mem.Phys.write_u32 m.Machine.phys (Int64.add patcher 4L) (Code.encode Insn.Break);
   let run_at pc =
-    m.Machine.pc <- pc;
+    Machine.set_pc m pc;
     Alcotest.(check int) "exit" 0 (Outcome.exited (Machine.run_result ~max_insns:100L m))
   in
   (* first pass warms the decode cache; the second pins a superblock *)
@@ -742,7 +742,7 @@ loop:
 (* The loop both fetch-check tests run, at 0x10000: one prologue
    instruction, then seven daddiu and a bne per iteration (eight
    retirements), then a break.  The superblock engine pins the seven
-   daddiu at 0x10004 as one block. *)
+   daddiu and the bne at 0x10004 as one eight-element block. *)
 let fetch_loop_entry = 0x10000L
 
 let fetch_loop_machine engine =
@@ -771,7 +771,7 @@ let fetch_loop_machine engine =
           trap := Some (Cp0.exc_to_string exc, ctx.Machine.victim_pc, m.Machine.instret);
           Machine.Halt 1);
   let run () =
-    m.Machine.pc <- fetch_loop_entry;
+    Machine.set_pc m fetch_loop_entry;
     trap := None;
     let code = Outcome.exited (Machine.run_result ~max_insns:1_000L m) in
     (code, !trap)
@@ -902,7 +902,7 @@ let test_checkpoint_smc_coherence () =
   Mem.Phys.write_u32 m.Machine.phys patcher (Code.encode (Insn.Store (Insn.W, 9, 8, 0)));
   Mem.Phys.write_u32 m.Machine.phys (Int64.add patcher 4L) (Code.encode Insn.Break);
   let run_at pc =
-    m.Machine.pc <- pc;
+    Machine.set_pc m pc;
     Alcotest.(check int) "exit" 0 (Outcome.exited (Machine.run_result ~max_insns:100L m))
   in
   (* two passes pin a superblock over the target before the checkpoint *)
@@ -977,6 +977,145 @@ loop:
   let data_misses = m.Machine.hier.Mem.Hierarchy.l1d.Mem.Cache.misses in
   Alcotest.(check bool) "tag cache miss rate tiny" true (tag_misses * 10 < data_misses)
 
+(* --- unboxed machine state ------------------------------------------------- *)
+
+(* A bare machine (no kernel model: a break halts) with [insns] written
+   at 0x10000 and the PC there. *)
+let code_base = 0x10000L
+
+let bare_machine ?(config = Machine.default_config) engine insns =
+  let m = Machine.create ~config () in
+  Machine.set_engine m engine;
+  Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
+  Machine.set_kernel m (fun _ ctx ->
+      match ctx.Machine.exc with
+      | Cp0.Breakpoint -> Machine.Halt 0
+      | e -> Alcotest.failf "unexpected exception: %s" (Cp0.exc_to_string e));
+  List.iteri
+    (fun i insn ->
+      Mem.Phys.write_u32 m.Machine.phys (Int64.add code_base (Int64.of_int (4 * i))) (Code.encode insn))
+    insns;
+  Machine.set_pc m code_base;
+  m
+
+(* A warm superblock loop of 60 ALU instructions (HI/LO traffic
+   included) retires without allocating: registers and the PC live
+   unboxed, and the loop's branch retires inside its block.  The
+   residue is per block, not per instruction. *)
+let test_alu_superblock_allocates_nothing () =
+  let alu =
+    [
+      Insn.Daddu (9, 9, 10); Insn.Addu (11, 9, 12); Insn.Xor (12, 12, 9); Insn.Or (13, 9, 11);
+      Insn.And (14, 13, 12); Insn.Dsll (15, 9, 3); Insn.Dsrl (16, 15, 2); Insn.Slt (17, 9, 16);
+      Insn.Sltu (18, 16, 9); Insn.Daddiu (10, 10, 7); Insn.Lui (19, 0x1234); Insn.Ori (19, 19, 0x5678);
+      Insn.Sll (20, 9, 5); Insn.Sra (21, 20, 2); Insn.Subu (22, 9, 10); Insn.Dsubu (23, 22, 11);
+      Insn.Nor (24, 23, 9); Insn.Dmult (9, 10); Insn.Mflo 25; Insn.Mthi 24; Insn.Mfhi 3;
+      Insn.Dsrl32 (4, 25, 3); Insn.Sltiu (5, 4, 100); Insn.Xori (6, 5, 0xFF);
+    ]
+  in
+  (* 58 ALU instructions, the counter decrement and the back-edge branch *)
+  let body = List.init 58 (fun i -> List.nth alu (i mod List.length alu)) in
+  let insns =
+    (Insn.Daddiu (8, 0, 1000) :: body) @ [ Insn.Daddiu (8, 8, -1); Insn.Bne (8, 0, -60); Insn.Break ]
+  in
+  let m = bare_machine Machine.Superblock insns in
+  Machine.set_timing m false;
+  let run () =
+    Machine.set_pc m code_base;
+    Alcotest.(check int) "exit" 0 (Outcome.exited (Machine.run_result ~max_insns:1_000_000L m))
+  in
+  run ();
+  let instret = m.Machine.instret and words = Gc.minor_words () in
+  run ();
+  let per_insn = (Gc.minor_words () -. words) /. float_of_int (m.Machine.instret - instret) in
+  Alcotest.(check int) "60 per iteration" ((60 * 1000) + 2) (m.Machine.instret - instret);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per instruction < 0.5" per_insn)
+    true (per_insn < 0.5);
+  Alcotest.(check bool) "blocks retired the loop" true
+    (m.Machine.sb_retired > m.Machine.instret / 2)
+
+(* Every register slot holds a full 64-bit value: the extremes survive
+   GPR writes, HI/LO through the multiply/move instructions, a context
+   switch and a checkpoint, and $0 ignores writes. *)
+let test_regs_64bit_exact () =
+  let values = [ 0x8000_0000_0000_0000L; -1L; Int64.max_int ] in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun v ->
+          let m =
+            bare_machine engine
+              [
+                Insn.Dmult (8, 9); Insn.Mflo 10; Insn.Mthi 8; Insn.Mfhi 11; Insn.Mtlo 8;
+                Insn.Mflo 12; Insn.Daddu (13, 8, 0); Insn.Daddu (0, 8, 8); Insn.Break;
+              ]
+          in
+          Machine.set_gpr m 8 v;
+          Machine.set_gpr m 9 1L;
+          Machine.set_gpr m 0 v;
+          Alcotest.(check int) "exit" 0 (Outcome.exited (Machine.run_result ~max_insns:100L m));
+          List.iter
+            (fun (what, r) -> Alcotest.(check int64) what v (Machine.gpr m r))
+            [ ("dmult/mflo", 10); ("mthi/mfhi", 11); ("mtlo/mflo", 12); ("daddu", 13) ];
+          Alcotest.(check int64) "hi" v (Regs.hi m.Machine.regs);
+          Alcotest.(check int64) "lo" v (Regs.lo m.Machine.regs);
+          Alcotest.(check int64) "$0 stays 0" 0L (Machine.gpr m 0))
+        values)
+    [ Machine.Plain; Machine.Superblock ];
+  let fill m v =
+    for i = 1 to 31 do
+      Machine.set_gpr m i (Int64.logxor v (Int64.of_int i))
+    done;
+    Regs.set_hi m.Machine.regs v;
+    Regs.set_lo m.Machine.regs (Int64.lognot v);
+    Machine.set_pc m v
+  in
+  let check what m v =
+    for i = 1 to 31 do
+      Alcotest.(check int64) (Printf.sprintf "%s r%d" what i)
+        (Int64.logxor v (Int64.of_int i)) (Machine.gpr m i)
+    done;
+    Alcotest.(check int64) (what ^ " hi") v (Regs.hi m.Machine.regs);
+    Alcotest.(check int64) (what ^ " lo") (Int64.lognot v) (Regs.lo m.Machine.regs);
+    Alcotest.(check int64) (what ^ " pc") v (Machine.pc m)
+  in
+  let m = Machine.create ~config:{ Machine.default_config with Machine.mem_size = 1 lsl 20 } () in
+  List.iter
+    (fun v ->
+      fill m v;
+      let ctx = Os.Context.save m in
+      let ck = Machine.checkpoint m in
+      fill m 0L;
+      Os.Context.restore m ctx;
+      check "context" m v;
+      fill m 0L;
+      ignore (Machine.restore m ck : int);
+      check "checkpoint" m v)
+    values
+
+(* A PC above 2^62 keeps all 64 bits: the native-int decode-cache tag
+   cannot hold it, so every fetch there bypasses the decode cache (and
+   the superblock tier), and the physical word read wraps to 0x1000. *)
+let test_high_pc () =
+  let high = 0x8000_0000_0000_1000L in
+  let run engine =
+    let m = bare_machine engine [ Insn.Jr 8 ] in
+    Machine.set_gpr m 8 high;
+    List.iteri
+      (fun i insn ->
+        Mem.Phys.write_u32 m.Machine.phys (Int64.of_int (0x1000 + (4 * i))) (Code.encode insn))
+      (List.init 100 (fun _ -> Insn.Daddiu (9, 9, 1)));
+    match Machine.run_result ~max_insns:101L m with
+    | Machine.Budget_exhausted s -> (s.Machine.snap_pc, Machine.gpr m 9, m.Machine.cycles)
+    | r -> Alcotest.failf "expected an exhausted budget: %a" Machine.pp_run_result r
+  in
+  let plain = run Machine.Plain in
+  Alcotest.(check (triple int64 int64 int)) "engines agree" plain (run Machine.Superblock);
+  let pc, r9, _ = plain in
+  Alcotest.(check int64) "budget ends at the high PC" 0x8000_0000_0000_1190L pc;
+  Alcotest.(check int64) "100 instructions ran there" 100L r9
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let suites =
@@ -984,6 +1123,7 @@ let suites =
     qsuite "isa-encoding" [ prop_code_roundtrip; prop_decode_total ];
     ( "machine-mips",
       [
+        Alcotest.test_case "register file is 64-bit exact" `Quick test_regs_64bit_exact;
         Alcotest.test_case "arithmetic" `Quick test_arith;
         Alcotest.test_case "memory" `Quick test_memory;
         Alcotest.test_case "sub-word memory" `Quick test_subword_memory;
@@ -1025,6 +1165,9 @@ let suites =
         Alcotest.test_case "tag controller traffic" `Quick test_tag_controller_traffic;
         Alcotest.test_case "checkpoint/restore round-trip" `Quick test_checkpoint_restore_roundtrip;
         Alcotest.test_case "checkpoint SMC coherence" `Quick test_checkpoint_smc_coherence;
+        Alcotest.test_case "ALU superblock allocates nothing" `Quick
+          test_alu_superblock_allocates_nothing;
+        Alcotest.test_case "high PC keeps 64 bits" `Quick test_high_pc;
       ] );
   ]
 
@@ -1113,7 +1256,7 @@ let prop_machine_monotonic =
         Machine.set_cap m i data_root
       done;
       m.Machine.pcc <- code_root;
-      m.Machine.pc <- text_base;
+      Machine.set_pc m text_base;
       (* seed GPRs with small values so derivations do something *)
       for i = 1 to 15 do
         Machine.set_gpr m i (Int64.of_int (i * 24))

@@ -335,6 +335,32 @@ let test_hooks_do_not_perturb () =
     true
     (abs (got - expect) <= 1)
 
+(* The superblock engine retires calls and returns inside its blocks, so
+   the sampler, the shadow call stack and miss attribution all run there:
+   a profile must not depend on the engine that produced it. *)
+let test_profile_engine_invariant () =
+  let go engine =
+    Exp.Profiled.run ~engine ~bench:"treeadd" ~mode:Minic.Layout.Cheri ~param:8 ~period:31 ()
+  in
+  let p = go Machine.Plain and s = go Machine.Superblock in
+  Alcotest.(check (list string))
+    "collapsed stacks" p.Exp.Profiled.collapsed s.Exp.Profiled.collapsed;
+  let hot (r : Exp.Profiled.report) =
+    List.map (fun (h : Exp.Profiled.hot) -> (h.Exp.Profiled.pc, h.Exp.Profiled.samples)) r.Exp.Profiled.hot
+  in
+  Alcotest.(check (list (pair int64 int))) "hot pcs" (hot p) (hot s);
+  Alcotest.(check string)
+    "attribution tables"
+    (Obs.Json.to_string (Obs.Attrib.to_json p.Exp.Profiled.attrib))
+    (Obs.Json.to_string (Obs.Attrib.to_json s.Exp.Profiled.attrib));
+  Alcotest.check counters "architectural counters"
+    (Obs.Counters.architectural p.Exp.Profiled.counters)
+    (Obs.Counters.architectural s.Exp.Profiled.counters);
+  Alcotest.(check bool) "the stacks saw calls" true (List.length s.Exp.Profiled.collapsed > 1);
+  Alcotest.(check bool) "blocks retired most instructions" true
+    (Obs.Counters.get s.Exp.Profiled.counters Obs.Counters.sb_retired
+    > Int64.div (Obs.Counters.get s.Exp.Profiled.counters Obs.Counters.instret) 2L)
+
 (* Counters, hot-PC tables, and collapsed stacks are bit-for-bit
    reproducible: the sampler is driven by retirement, not wall time. *)
 let test_deterministic () =
@@ -704,6 +730,7 @@ let suites =
         Alcotest.test_case "bench counters consistent" `Quick test_bench_counters_consistent;
         Alcotest.test_case "hooks do not perturb" `Quick test_hooks_do_not_perturb;
         Alcotest.test_case "deterministic" `Quick test_deterministic;
+        Alcotest.test_case "profiles are engine-invariant" `Quick test_profile_engine_invariant;
         Alcotest.test_case "export schema" `Quick test_export_schema;
         Alcotest.test_case "log2 histograms" `Quick test_hist;
         Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;
