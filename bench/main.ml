@@ -460,9 +460,15 @@ let micro ~quick () =
   let tlb_hit =
     let tlb = Mem.Tlb.create ~entries:256 () in
     Mem.Tlb.map tlb ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
-    ignore (Mem.Tlb.touch tlb 0x1000L);
-    Test.make ~name:"TLB touch, hit (same page)"
-      (Staged.stage (fun () -> ignore (Mem.Tlb.touch tlb 0x1040L)))
+    (* Eight resident pages in rotation: every touch is a residency-map
+       hit on a different page from the one before. *)
+    let pages = Array.init 8 (fun i -> Int64.of_int ((i * 4096) + 0x40)) in
+    Array.iter (fun a -> ignore (Mem.Tlb.touch tlb a)) pages;
+    let i = ref 0 in
+    Test.make ~name:"TLB touch, hit (8 pages in rotation)"
+      (Staged.stage (fun () ->
+           i := (!i + 1) land 7;
+           ignore (Mem.Tlb.touch tlb (Array.unsafe_get pages !i))))
   in
   let l1_hit =
     let c = Mem.Cache.create ~name:"l1hit" ~size_bytes:16384 ~line_bytes:32 ~assoc:4 in

@@ -6,7 +6,8 @@
     simulators can drive it.  The model is on the simulator's
     per-instruction path, so geometry is restricted to powers of two and
     {!access} is allocation-free (int shift/mask indexing, loop-based way
-    and victim search, preallocated outcomes). *)
+    and victim search, preallocated outcomes).  State is flat arrays
+    indexed by slot [set * assoc + way]. *)
 
 type t = {
   name : string;
@@ -15,7 +16,9 @@ type t = {
   assoc : int;
   line_bits : int;  (** log2 [line_bytes] *)
   set_bits : int;  (** log2 [sets] *)
-  data : line array array;
+  tags : int array;  (** slot -> tag, -1 = invalid *)
+  lru : int array;  (** slot -> last-use tick *)
+  dirty : Bytes.t;  (** slot -> ['\001'] when dirty *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -24,10 +27,8 @@ type t = {
       (** one-line MRU front: line index of the previous access (-1 =
           empty); repeats skip the way search with bit-identical counter
           and LRU updates *)
-  mutable mru_way : line;  (** the way holding [mru_line] *)
+  mutable mru_slot : int;  (** the slot holding [mru_line] *)
 }
-
-and line = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mutable lru : int }
 
 (** [create ~name ~size_bytes ~line_bytes ~assoc] — capacity must be a
     multiple of [line_bytes * assoc], and both [line_bytes] and the
@@ -53,22 +54,11 @@ val access : t -> addr:int64 -> write:bool -> outcome
     {!access} for callers that already hold a line index. *)
 val access_line : t -> line:int -> write:bool -> outcome
 
-(** Line-aligned addresses of every line a [size]-byte access at [addr]
-    touches.  (The memory hierarchy's hot path iterates line indices
-    directly instead; this remains for external consumers.) *)
-val lines_spanned : t -> addr:int64 -> size:int -> int64 list
-
-val reset_stats : t -> unit
-
-(** Invalidate every line (drops dirty data — a model-level reset). *)
-val flush : t -> unit
-
 val pp_stats : Format.formatter -> t -> unit
 
-(** {1 Snapshot / restore} — residency, dirty bits, LRU order, and stats
-    captured into flat arrays and restored in place; the host-only MRU
-    front is emptied (bit-exact — the full way search it fronts makes
-    identical updates). *)
+(** {1 Snapshot / restore} — the slot arrays and stats copied and
+    blitted back; the host-only MRU front is emptied (bit-exact — the
+    full way search it fronts makes identical updates). *)
 
 type snapshot
 

@@ -105,8 +105,6 @@ let write_bytes t addr b =
   mark_range t i (Bytes.length b);
   Bytes.blit b 0 t.data i (Bytes.length b)
 
-let pages t = Bytes.length t.dirty
-
 let snapshot t =
   t.snap_stamp <- t.snap_stamp + 1;
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';

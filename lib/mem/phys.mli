@@ -53,6 +53,3 @@ val restore : t -> snapshot -> int
 
 val dirty_pages : t -> int list
 (** Page indices written since the last {!snapshot} (ascending). *)
-
-val pages : t -> int
-(** Total pages in the dirty map. *)

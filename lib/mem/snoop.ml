@@ -18,11 +18,9 @@
 type t = {
   mutable lo : int; (* inclusive lower bound of the covered hull *)
   mutable hi : int; (* exclusive upper bound of the covered hull *)
-  mutable probes : int; (* stores checked against the filter *)
-  mutable hits : int; (* stores that intersected the hull *)
 }
 
-let create () = { lo = max_int; hi = min_int; probes = 0; hits = 0 }
+let create () = { lo = max_int; hi = min_int }
 
 (* Forget all covered ranges (the owner just retired its translations). *)
 let clear t =
@@ -34,15 +32,6 @@ let cover t ~lo ~hi =
   if lo < t.lo then t.lo <- lo;
   if hi > t.hi then t.hi <- hi
 
-let is_empty t = t.hi <= t.lo
-
 (* Does a store of [size] bytes at [addr] intersect the covered hull?
    The caller retires its translations (and [clear]s) on [true]. *)
-let hit t ~addr ~size =
-  t.probes <- t.probes + 1;
-  let h = addr < t.hi && addr + size > t.lo in
-  if h then t.hits <- t.hits + 1;
-  h
-
-let probes t = t.probes
-let hits t = t.hits
+let hit t ~addr ~size = addr < t.hi && addr + size > t.lo

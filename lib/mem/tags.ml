@@ -16,6 +16,7 @@ type t = {
   bits : Bytes.t;
   mem_size : int;
   line_bytes : int;
+  line_bits : int; (* log2 line_bytes: address -> line index by shift *)
   mutable on_write : (set:bool -> addr:int64 -> unit) option;
       (* observability hook: every architectural tag write (capability
          store sets or clears; general-purpose store clears) is reported
@@ -28,14 +29,21 @@ type t = {
 let line_bytes = 32
 
 let create ?(line_bytes = line_bytes) ~mem_size () =
+  if line_bytes <= 0 || line_bytes land (line_bytes - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Tags.create: line_bytes %d is not a power of two (shift indexing)"
+         line_bytes);
+  let rec log2 b v = if v <= 1 then b else log2 (b + 1) (v lsr 1) in
   {
     bits = Bytes.make (((mem_size / line_bytes) + 7) / 8) '\000';
     mem_size;
     line_bytes;
+    line_bits = log2 0 line_bytes;
     on_write = None;
   }
 
-let line_index t addr = Int64.to_int (Int64.div addr (Int64.of_int t.line_bytes))
+(* Physical addresses fit a native int (63 bits), so this is a shift. *)
+let line_index t addr = Int64.to_int addr lsr t.line_bits
 let granularity t = t.line_bytes
 
 let get t addr =
@@ -86,14 +94,3 @@ let restore_page t (snap : snapshot) ~page_bytes p =
   if first <= last then Bytes.blit snap first t.bits first (last - first + 1)
 
 let restore_all t (snap : snapshot) = Bytes.blit snap 0 t.bits 0 (Bytes.length t.bits)
-
-let count_set t =
-  let n = ref 0 in
-  Bytes.iter
-    (fun c ->
-      let c = Char.code c in
-      for b = 0 to 7 do
-        if c land (1 lsl b) <> 0 then incr n
-      done)
-    t.bits;
-  !n

@@ -14,6 +14,7 @@ type t
 (** Default tag granularity in bytes (32 = one bit per 256 bits). *)
 val line_bytes : int
 
+(** @raise Invalid_argument when [line_bytes] is not a power of two. *)
 val create : ?line_bytes:int -> mem_size:int -> unit -> t
 
 (** Install (or with [None] remove) the observability hook: called with
@@ -36,9 +37,6 @@ val set : t -> int64 -> bool -> unit
 (** Clear the tags of every line overlapped by a [size]-byte store at the
     address: the effect of a general-purpose store. *)
 val clear_range : t -> int64 -> int -> unit
-
-(** Number of tagged lines (used by sweeps and tests). *)
-val count_set : t -> int
 
 (** {1 Snapshot / restore} — rides the physical memory's dirty-page
     list: {!restore_page} blits back the tag bits covering one dirty

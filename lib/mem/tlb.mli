@@ -7,12 +7,11 @@
     (256 x 4 KB entries), reproduced by counting hits and misses over a
     fully-associative LRU entry set.
 
-    The hot paths are allocation-free: {!touch} fronts its VPN -> slot
-    hashtable with a one-entry last-translation cache and scans an int
-    array for the LRU victim; {!protection} memoises page-table lookups
-    in a small direct-mapped array invalidated on {!map}/{!unmap}.
-    Replacement is true LRU with unique ticks, so hit/miss counts are
-    bit-exact with the reference implementation. *)
+    State is flat and page-indexed: the page table is one byte per page
+    naming one of 32 prebuilt {!prot} records, and residency is one slot
+    index per page (-1 = absent); {!map} grows both to the highest mapped
+    page.  {!protection} and a {!touch} hit are one array read each, and
+    neither allocates.  Replacement is true LRU with unique ticks. *)
 
 val page_bits : int
 val page_bytes : int
@@ -32,21 +31,14 @@ val prot_rwx : prot
 
 type t = {
   entries : int;
-  table : (int, prot) Hashtbl.t;
-  slot_of : (int, int) Hashtbl.t;
+  mutable perms : Bytes.t;  (** VPN -> protection code *)
+  mutable slot_of : int array;  (** VPN -> resident slot, -1 = absent *)
   slot_vpn : int array;
   slot_tick : int array;
   mutable used : int;
-  mutable last_vpn : int;
-  mutable last_slot : int;
-  prot_vpn : int array;
-  prot_val : prot array;
-  slot_memo_vpn : int array;
-  slot_memo_slot : int array;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
-  mutable version : int;
 }
 
 val create : ?entries:int -> unit -> t
@@ -61,17 +53,13 @@ val unmap : t -> vaddr:int64 -> len:int -> unit
 val protection : t -> int64 -> prot
 
 (** Touch the TLB for a translation; [false] = miss (LRU refill
-    modelled). *)
+    modelled).  Only pages inside the map are translated (the machine
+    checks {!protection} first).
+    @raise Invalid_argument for a page beyond the highest mapped one. *)
 val touch : t -> int64 -> bool
 
-val flush : t -> unit
-val reset_stats : t -> unit
-val mapped_pages : t -> int
-
-(** {1 Snapshot / restore} — architectural state (page table, residency,
-    LRU ticks, stats) restored exactly; host-only memos are emptied,
-    which is bit-exact because the slow paths they front make identical
-    hit/miss decisions and counter updates. *)
+(** {1 Snapshot / restore} — page table, residency, LRU ticks and stats
+    restored exactly. *)
 
 type snapshot
 

@@ -95,6 +95,238 @@ let prop_tlb_reach =
       let lru_evicted = not (Mem.Tlb.touch t 0L) in
       all_hit && mru_resident && lru_evicted)
 
+(* Reference models for the TLB and the caches: the same replacement
+   policy written the obvious way (true LRU as an MRU-first list), driven
+   in lockstep with the flat-array models through random operation
+   sequences, snapshots and restores included.  Every hit/miss/writeback,
+   every protection record and every counter must agree after every
+   operation. *)
+
+type tlb_op =
+  | Map of int * int * int (* vaddr, len, protection bits *)
+  | Unmap of int * int
+  | Touch of int
+  | Prot of int
+  | Snap
+  | Restore
+
+let pp_tlb_op = function
+  | Map (a, l, b) -> Printf.sprintf "map 0x%x+%d bits=%d" a l b
+  | Unmap (a, l) -> Printf.sprintf "unmap 0x%x+%d" a l
+  | Touch a -> Printf.sprintf "touch 0x%x" a
+  | Prot a -> Printf.sprintf "prot 0x%x" a
+  | Snap -> "snapshot"
+  | Restore -> "restore"
+
+(* Bit k of [bits] is the k-th field of [Mem.Tlb.prot], in order. *)
+let prot_of_bits bits =
+  let b k = bits land (1 lsl k) <> 0 in
+  { Mem.Tlb.valid = b 0; writable = b 1; executable = b 2; cap_load = b 3; cap_store = b 4 }
+
+type tlb_model = {
+  pt : (int * Mem.Tlb.prot) list; (* the page table, VPN -> prot *)
+  mru : int list; (* resident VPNs, most recently used first *)
+  m_hits : int;
+  m_misses : int;
+}
+
+let tlb_model_step entries m = function
+  | Map (vaddr, len, bits) ->
+      let first = vaddr / 4096 and last = (vaddr + max 1 len - 1) / 4096 in
+      let pt = ref m.pt in
+      for p = first to last do
+        pt := (p, prot_of_bits bits) :: List.remove_assoc p !pt
+      done;
+      { m with pt = !pt }
+  | Unmap (vaddr, len) ->
+      let first = vaddr / 4096 and last = (vaddr + max 1 len - 1) / 4096 in
+      let gone p = p >= first && p <= last in
+      {
+        m with
+        pt = List.filter (fun (p, _) -> not (gone p)) m.pt;
+        mru = List.filter (fun p -> not (gone p)) m.mru;
+      }
+  | Touch vaddr when not (List.mem_assoc (vaddr / 4096) m.pt) ->
+      (* Only mapped pages are translated: the machine checks
+         [protection] first. *)
+      m
+  | Touch vaddr ->
+      let p = vaddr / 4096 in
+      if List.mem p m.mru then
+        { m with mru = p :: List.filter (( <> ) p) m.mru; m_hits = m.m_hits + 1 }
+      else
+        let mru = p :: m.mru in
+        let mru = List.filteri (fun i _ -> i < entries) mru in
+        { m with mru; m_misses = m.m_misses + 1 }
+  | Prot _ | Snap | Restore -> m
+
+let gen_tlb_case =
+  QCheck.Gen.(
+    (* maps stay below page 26; protection also probes past the map *)
+    let addr pages = map2 (fun p off -> (p * 4096) + off) (int_bound pages) (int_bound 4095) in
+    let op =
+      frequency
+        [
+          (3, map3 (fun a l b -> Map (a, l, b)) (addr 23) (int_bound (3 * 4096)) (int_bound 31));
+          (1, map2 (fun a l -> Unmap (a, l)) (addr 23) (int_bound (2 * 4096)));
+          (8, map (fun a -> Touch a) (addr 23));
+          (3, map (fun a -> Prot a) (addr 31));
+          (1, return Snap);
+          (1, return Restore);
+        ]
+    in
+    pair (int_range 1 8) (list_size (int_range 1 80) op))
+
+let arb_tlb_case =
+  QCheck.make gen_tlb_case ~print:(fun (entries, ops) ->
+      Printf.sprintf "entries=%d: %s" entries (String.concat "; " (List.map pp_tlb_op ops)))
+
+let prop_tlb_reference =
+  QCheck.Test.make ~count:1000 ~name:"TLB agrees with a list-LRU reference model" arb_tlb_case
+    (fun (entries, ops) ->
+      let t = Mem.Tlb.create ~entries () in
+      let m = ref { pt = []; mru = []; m_hits = 0; m_misses = 0 } in
+      let saved = ref None in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Map (a, l, b) ->
+                Mem.Tlb.map t ~vaddr:(Int64.of_int a) ~len:l (prot_of_bits b);
+                true
+            | Unmap (a, l) ->
+                Mem.Tlb.unmap t ~vaddr:(Int64.of_int a) ~len:l;
+                true
+            | Touch a ->
+                (not (List.mem_assoc (a / 4096) !m.pt))
+                || Mem.Tlb.touch t (Int64.of_int a) = List.mem (a / 4096) !m.mru
+            | Prot a ->
+                let want =
+                  Option.value (List.assoc_opt (a / 4096) !m.pt) ~default:Mem.Tlb.prot_none
+                in
+                Mem.Tlb.protection t (Int64.of_int a) = want
+            | Snap ->
+                saved := Some (Mem.Tlb.snapshot t, !m);
+                true
+            | Restore ->
+                Option.iter
+                  (fun (s, sm) ->
+                    Mem.Tlb.restore t s;
+                    m := sm)
+                  !saved;
+                true
+          in
+          m := tlb_model_step entries !m op;
+          agrees && t.Mem.Tlb.hits = !m.m_hits && t.Mem.Tlb.misses = !m.m_misses)
+        ops)
+
+(* The TLB translates only mapped pages; a page past the highest mapped
+   one is refused rather than silently modelled. *)
+let test_tlb_touch_beyond_map () =
+  let t = Mem.Tlb.create ~entries:4 () in
+  Mem.Tlb.map t ~vaddr:0L ~len:(4 * 4096) Mem.Tlb.prot_rwx;
+  Alcotest.(check bool) "mapped page misses then installs" false (Mem.Tlb.touch t 0x3000L);
+  Alcotest.(check bool) "past the map reads as unmapped" false
+    (Mem.Tlb.protection t 0x10_0000L).Mem.Tlb.valid;
+  match Mem.Tlb.touch t 0x10_0000L with
+  | _ -> Alcotest.fail "touch past the map accepted"
+  | exception Invalid_argument _ -> ()
+
+type cache_op = Access of int * bool (* addr, write *) | C_snap | C_restore
+
+let pp_cache_op = function
+  | Access (a, w) -> Printf.sprintf "%s 0x%x" (if w then "write" else "read") a
+  | C_snap -> "snapshot"
+  | C_restore -> "restore"
+
+(* Per set, the resident (tag, dirty) lines, most recently used first. *)
+type cache_model = {
+  lines : (int * bool) list array;
+  c_hits : int;
+  c_misses : int;
+  c_writebacks : int;
+}
+
+(* One access to the reference cache: the next model and the outcome it
+   predicts.  A full set evicts its least recently used line. *)
+let cache_model_access ~assoc ~sets m ~line ~write =
+  let set = line mod sets and tag = line / sets in
+  let ways = m.lines.(set) in
+  let lines = Array.copy m.lines in
+  match List.assoc_opt tag ways with
+  | Some dirty ->
+      lines.(set) <- (tag, dirty || write) :: List.remove_assoc tag ways;
+      ({ m with lines; c_hits = m.c_hits + 1 }, Mem.Cache.Hit)
+  | None ->
+      let writeback = List.length ways = assoc && snd (List.nth ways (assoc - 1)) in
+      lines.(set) <- (tag, write) :: List.filteri (fun i _ -> i < assoc - 1) ways;
+      ( {
+          lines;
+          c_hits = m.c_hits;
+          c_misses = m.c_misses + 1;
+          c_writebacks = m.c_writebacks + Bool.to_int writeback;
+        },
+        Mem.Cache.Miss { writeback } )
+
+let gen_cache_case =
+  QCheck.Gen.(
+    let* line_bytes = oneofl [ 16; 32 ] in
+    let* assoc = oneofl [ 1; 2; 4 ] in
+    let* sets = oneofl [ 1; 2; 4; 8 ] in
+    (* three times the capacity in lines, so sets overflow *)
+    let addr =
+      map2
+        (fun l off -> (l * line_bytes) + off)
+        (int_bound ((3 * sets * assoc) - 1))
+        (int_bound (line_bytes - 1))
+    in
+    let op =
+      frequency
+        [
+          (12, map2 (fun a w -> Access (a, w)) addr bool);
+          (1, return C_snap);
+          (1, return C_restore);
+        ]
+    in
+    map (fun ops -> ((line_bytes, assoc, sets), ops)) (list_size (int_range 1 120) op))
+
+let arb_cache_case =
+  QCheck.make gen_cache_case ~print:(fun ((lb, assoc, sets), ops) ->
+      Printf.sprintf "%dB x %d-way x %d sets: %s" lb assoc sets
+        (String.concat "; " (List.map pp_cache_op ops)))
+
+let prop_cache_reference =
+  QCheck.Test.make ~count:1000 ~name:"cache agrees with a per-set list-LRU reference model"
+    arb_cache_case (fun ((line_bytes, assoc, sets), ops) ->
+      let size_bytes = line_bytes * assoc * sets in
+      let c = Mem.Cache.create ~name:"ref" ~size_bytes ~line_bytes ~assoc in
+      let m = ref { lines = Array.make sets []; c_hits = 0; c_misses = 0; c_writebacks = 0 } in
+      let saved = ref None in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Access (a, write) ->
+                let next, want = cache_model_access ~assoc ~sets !m ~line:(a / line_bytes) ~write in
+                m := next;
+                Mem.Cache.access c ~addr:(Int64.of_int a) ~write = want
+            | C_snap ->
+                saved := Some (Mem.Cache.snapshot c, !m);
+                true
+            | C_restore ->
+                Option.iter
+                  (fun (s, sm) ->
+                    Mem.Cache.restore c s;
+                    m := sm)
+                  !saved;
+                true
+          in
+          agrees
+          && c.Mem.Cache.hits = !m.c_hits
+          && c.Mem.Cache.misses = !m.c_misses
+          && c.Mem.Cache.writebacks = !m.c_writebacks)
+        ops)
+
 (* Snapshot/restore with dirty-page tracking: every page written after
    [snapshot] is tracked, [restore] rewinds the whole memory to the
    snapshot image (touching only those pages), and the dirty map comes
@@ -181,6 +413,19 @@ let test_cache_geometry_validation () =
   let c = Mem.Cache.create ~name:"ok" ~size_bytes:4096 ~line_bytes:32 ~assoc:2 in
   Alcotest.(check int) "size round-trips" 4096 (Mem.Cache.size_bytes c)
 
+(* Tags.line_index shifts by log2 line_bytes, so the table refuses a
+   granularity that is not a power of two. *)
+let test_tags_granularity_validation () =
+  (match Mem.Tags.create ~line_bytes:24 ~mem_size:0x1000 () with
+  | _ -> Alcotest.fail "24-byte tag lines accepted"
+  | exception Invalid_argument _ -> ());
+  List.iter
+    (fun g ->
+      let t = Mem.Tags.create ~line_bytes:g ~mem_size:0x1000 () in
+      Alcotest.(check int) (Printf.sprintf "%d-byte lines index by shift" g) (0xFE0 / g)
+        (Mem.Tags.line_index t 0xFE0L))
+    [ 16; 32 ]
+
 let test_hierarchy_dram_accounting () =
   let h = Mem.Hierarchy.create () in
   Mem.Tlb.map h.Mem.Hierarchy.tlb ~vaddr:0L ~len:0x100000 Mem.Tlb.prot_rwx;
@@ -220,6 +465,8 @@ let suites =
         prop_cache_rehit;
         prop_cache_working_set;
         prop_tlb_reach;
+        prop_tlb_reference;
+        prop_cache_reference;
         prop_phys_snapshot_roundtrip;
       ];
     ( "mem-snapshot",
@@ -230,6 +477,8 @@ let suites =
     ( "mem-hierarchy",
       [
         Alcotest.test_case "cache geometry validation" `Quick test_cache_geometry_validation;
+        Alcotest.test_case "tag granularity validation" `Quick test_tags_granularity_validation;
+        Alcotest.test_case "TLB touch past the map" `Quick test_tlb_touch_beyond_map;
         Alcotest.test_case "DRAM accounting" `Quick test_hierarchy_dram_accounting;
         Alcotest.test_case "writeback traffic" `Quick test_hierarchy_writeback;
       ] );
