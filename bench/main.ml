@@ -476,11 +476,24 @@ let micro ~quick () =
     Test.make ~name:"cache access, L1 hit (same line)"
       (Staged.stage (fun () -> ignore (Mem.Cache.access c ~addr:0x2008L ~write:false)))
   in
+  (* Machine creation (docs/PERFORMANCE.md "Machine creation and
+     memory"): a fresh Figure 4 machine, 64 MiB, and a fresh fuzz
+     machine, 1 MiB, as the campaigns build them.  Physical memory is
+     mapped on first touch, so the two differ by the size-proportional
+     host tables (tag bits, code-page map), not by the image. *)
+  let create_fig4 =
+    Test.make ~name:"Machine.create (64 MiB fig4 machine)"
+      (Staged.stage (fun () -> ignore (Machine.create ())))
+  in
+  let create_fuzz =
+    Test.make ~name:"Machine.create (1 MiB fuzz machine)"
+      (Staged.stage (fun () -> ignore (Fuzz.Gen.create_machine Machine.W256)))
+  in
   (* The warm-pool primitives (docs/PERFORMANCE.md "serving throughput"):
-     what one post-boot snapshot costs (full image copy, paid once per
-     pooled server) and what one dirty-page rewind costs (paid per
-     chunk, proportional to pages written — here 32, a mailbox-sized
-     working set). *)
+     what one post-boot snapshot costs (a copy of the pages boot wrote,
+     paid once per pooled server) and what one dirty-page rewind costs
+     (paid per chunk, proportional to pages written — here 32, a
+     mailbox-sized working set). *)
   let snapshot_capture =
     let s = Serve.Server.create ~isolation:Serve.Scenario.Compart ~n:4 () in
     Serve.Server.boot s;
@@ -506,7 +519,7 @@ let micro ~quick () =
     Test.make_grouped ~name:"cheri" ~fmt:"%s %s"
       [
         cap_ops; cap_bytes; decode; interp; cache; steady_hit; sb_dispatch; cold_fetch; tlb_hit;
-        l1_hit; snapshot_capture; snapshot_restore;
+        l1_hit; create_fig4; create_fuzz; snapshot_capture; snapshot_restore;
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in

@@ -107,6 +107,12 @@ let create_machine ?engine width =
   Machine.set_kernel m (fun _ ctx -> Machine.Halt (100 + Cp0.exc_code ctx.Machine.exc));
   m
 
+(* Reset's window images.  The scalar buffer is per domain, since
+   campaigns reset machines on several domains at once; a fresh 4 KiB
+   buffer per reset would be a major-heap allocation. *)
+let zero_window = Bytes.make (Int64.to_int region_len) '\000'
+let scalar_window = Domain.DLS.new_key (fun () -> Bytes.create (Int64.to_int region_len))
+
 (* Deterministic full reset: the same machine object is reused across
    thousands of programs, so every piece of state a program can observe
    is rewritten from the seed — data windows, tags, the whole register
@@ -135,14 +141,11 @@ let reset m cfg seed =
   Machine.set_gpr m 19 (Int64.sub region_len (Int64.of_int (8 * Fault.Prng.int p 5)));
   Machine.set_gpr m 20 scalar_base;
   Machine.set_gpr m 21 (Int64.add (Int64.shift_left 1L 41) (Fault.Prng.int64 p (Int64.shift_left 1L 45)));
-  let phys = m.Machine.phys in
   let len = Int64.to_int region_len in
-  let off = ref 0 in
-  while !off < len do
-    Mem.Phys.write_u64 phys (Int64.add scalar_base (Int64.of_int !off)) (Fault.Prng.next p);
-    Mem.Phys.write_u64 phys (Int64.add cap_base (Int64.of_int !off)) 0L;
-    off := !off + 8
-  done;
+  let scalars = Domain.DLS.get scalar_window in
+  Fault.Prng.fill_words p scalars;
+  Mem.Phys.write_bytes m.Machine.phys scalar_base scalars;
+  Mem.Phys.write_bytes m.Machine.phys cap_base zero_window;
   Mem.Tags.clear_range m.Machine.tags scalar_base len;
   Mem.Tags.clear_range m.Machine.tags cap_base len;
   let mk b l = Cap.Capability.make ~perms:fuzz_perms ~base:b ~length:l in

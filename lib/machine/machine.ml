@@ -123,6 +123,12 @@ type t = {
      loader calls it). *)
   decode_pc : int array;
   decode_insn : Insn.t array;
+  decode_log : int array;
+  mutable decode_fills : int;
+      (* the PCs of the first [fill_log_len] decode-cache fills since the
+         last [invalidate_icache], which resets just those slots and their
+         [code_pages] flags; more fills than that fall back to a full
+         refill *)
   (* Superblock tier above the decode cache: hot straight-line regions
      translated into pre-decoded arrays of micro-ops ([sb_code], tagged by
      head PC in [sb_pc], -1 = empty) and executed by a tight loop.  Blocks
@@ -136,6 +142,8 @@ type t = {
   mutable engine : engine;
   sb_pc : int array;
   sb_code : Insn.t array array;
+  sb_log : int array;
+  mutable sb_pins : int; (* [decode_log]'s counterpart for superblock slots *)
   sb_snoop : Mem.Snoop.t;
   (* Byte-per-page map of every physical page the decode cache has been
      filled from since the last [invalidate_icache].  Superblocks are
@@ -171,6 +179,11 @@ let sb_mask = sb_slots - 1
    bounded unit of work between budget/watchdog checks. *)
 let max_sb_len = 64
 
+(* Fills logged between invalidations.  A fuzz program fills a few dozen
+   decode slots and pins fewer superblocks; a workload that fills more
+   has run long enough that one full refill is noise. *)
+let fill_log_len = 1024
+
 (* The reset kernel: a bare machine treats any syscall as "exit 0" and has
    no handler for anything else.  Unhandled exceptions stop the machine
    with a structured [Trap_unhandled] outcome (carrying a state snapshot)
@@ -205,9 +218,13 @@ let create ?(config = default_config) () =
     kernel_entries = 0;
     decode_pc = Array.make decode_slots (-1);
     decode_insn = Array.make decode_slots Insn.Syscall;
+    decode_log = Array.make fill_log_len 0;
+    decode_fills = 0;
     engine = Superblock;
     sb_pc = Array.make sb_slots (-1);
     sb_code = Array.make sb_slots [||];
+    sb_log = Array.make fill_log_len 0;
+    sb_pins = 0;
     sb_snoop = Mem.Snoop.create ();
     code_pages = Bytes.make (max 1 ((config.mem_size + 4095) lsr 12)) '\000';
     sb_translations = 0;
@@ -274,7 +291,12 @@ let charge t n = if t.timing then t.cycles <- t.cycles + n
    store could otherwise disagree with what the plain engine's
    direct-mapped cache would serve after a conflict eviction). *)
 let flush_superblocks t =
-  Array.fill t.sb_pc 0 sb_slots (-1);
+  if t.sb_pins > fill_log_len then Array.fill t.sb_pc 0 sb_slots (-1)
+  else
+    for k = 0 to t.sb_pins - 1 do
+      Array.unsafe_set t.sb_pc (Array.unsafe_get t.sb_log k) (-1)
+    done;
+  t.sb_pins <- 0;
   Mem.Snoop.clear t.sb_snoop
 
 (* Store snoop: probe the coherence filter; on intersection with any
@@ -967,9 +989,20 @@ let[@inline] retire t insn =
       execute t insn;
       note_frame t p insn
 
+(* O(fills since the last call): only logged slots and pages are reset
+   unless the log overflowed. *)
 let invalidate_icache t =
-  Array.fill t.decode_pc 0 decode_slots (-1);
-  Bytes.fill t.code_pages 0 (Bytes.length t.code_pages) '\000';
+  if t.decode_fills > fill_log_len then begin
+    Array.fill t.decode_pc 0 decode_slots (-1);
+    Bytes.fill t.code_pages 0 (Bytes.length t.code_pages) '\000'
+  end
+  else
+    for k = 0 to t.decode_fills - 1 do
+      let ipc = Array.unsafe_get t.decode_log k in
+      Array.unsafe_set t.decode_pc ((ipc lsr 2) land decode_mask) (-1);
+      Bytes.unsafe_set t.code_pages (ipc lsr 12) '\000'
+    done;
+  t.decode_fills <- 0;
   flush_superblocks t
 
 (* Route an in-flight exception to the kernel model: the shared tail of
@@ -1018,7 +1051,9 @@ let step t =
              check; superblock regions are subsets of decode-resident
              PCs, so one site covers both tiers.  [fetch] bounds-checked
              the PC, so the page index is in range. *)
-          Bytes.unsafe_set t.code_pages (ipc lsr 12) '\001'
+          Bytes.unsafe_set t.code_pages (ipc lsr 12) '\001';
+          if t.decode_fills < fill_log_len then Array.unsafe_set t.decode_log t.decode_fills ipc;
+          t.decode_fills <- t.decode_fills + 1
         end;
         insn
       end
@@ -1041,6 +1076,14 @@ let ends_block = function
   | Insn.CBTU _ | Insn.CBTS _ | Insn.CJR _ | Insn.CJALR _
   | Insn.CCall _ | Insn.CReturn -> true
   | _ -> false
+
+(* Pin [code] at table slot [slot] under head [ipc], logging the slot for
+   [flush_superblocks]. *)
+let pin t ipc slot code =
+  Array.unsafe_set t.sb_pc slot ipc;
+  Array.unsafe_set t.sb_code slot code;
+  if t.sb_pins < fill_log_len then Array.unsafe_set t.sb_log t.sb_pins slot;
+  t.sb_pins <- t.sb_pins + 1
 
 (* Try to form a superblock headed at [ipc] (a faithful int PC) and pin it
    in table slot [slot].  Formation reads *only decode-cache-resident*
@@ -1074,16 +1117,12 @@ let translate t ipc slot =
        single compare; a cold head stays unpinned and will be retried once
        the decode cache has warmed. *)
     let dslot = (ipc lsr 2) land decode_mask in
-    if Array.unsafe_get t.decode_pc dslot = ipc then begin
-      Array.unsafe_set t.sb_pc slot ipc;
-      Array.unsafe_set t.sb_code slot [||]
-    end;
+    if Array.unsafe_get t.decode_pc dslot = ipc then pin t ipc slot [||];
     [||]
   end
   else begin
     let code = Array.sub buf 0 !n in
-    Array.unsafe_set t.sb_pc slot ipc;
-    Array.unsafe_set t.sb_code slot code;
+    pin t ipc slot code;
     t.sb_translations <- t.sb_translations + 1;
     Mem.Snoop.cover t.sb_snoop ~lo:ipc ~hi:(ipc + (!n * 4));
     code

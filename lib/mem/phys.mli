@@ -1,6 +1,10 @@
-(** Physical memory: a flat byte array with little-endian scalar
+(** Physical memory: a flat byte image with little-endian scalar
     accessors.  Raises {!Bus_error} outside the populated range, which the
-    machine turns into an address-error exception. *)
+    machine turns into an address-error exception.
+
+    The image is zero-initialised memory that the OS maps on first touch
+    and that is not charged to the GC, so {!create} costs the same for any
+    size and a machine's resident memory follows the pages it writes. *)
 
 exception Bus_error of int64
 
@@ -32,10 +36,11 @@ val write_bytes : t -> int64 -> bytes -> unit
 
 (** {1 Snapshot / restore}
 
-    Every write path marks its 4 KiB page dirty; {!snapshot} copies the
-    whole image once and clears the dirty map, after which {!restore}
-    only blits back the pages written since — the fast-reset primitive
-    behind the warm server pool (docs/PERFORMANCE.md). *)
+    Every write path marks its 4 KiB page dirty and touched; {!snapshot}
+    copies the touched pages (all others are still zero) and clears the
+    dirty map, after which {!restore} only copies back the pages written
+    since — the fast-reset primitive behind the warm server pool
+    (docs/PERFORMANCE.md). *)
 
 val page_bytes : int
 (** Dirty-tracking granule: 4096. *)
@@ -43,12 +48,14 @@ val page_bytes : int
 type snapshot
 
 val snapshot : t -> snapshot
-(** Capture the full image and start dirty tracking from a clean slate.
-    Taking a new snapshot invalidates earlier ones (stamp check). *)
+(** Capture the image, copying only the pages ever written, and start
+    dirty tracking from a clean slate.  Taking a new snapshot invalidates
+    earlier ones (stamp check). *)
 
 val restore : t -> snapshot -> int
-(** Blit back every dirty page from the snapshot and clear the dirty
-    map; returns the number of pages restored.  @raise Invalid_argument
+(** Copy back every dirty page from the snapshot (a page first written
+    after it returns to zero) and clear the dirty map; returns the number
+    of pages restored.  @raise Invalid_argument
     on a snapshot made stale by a later {!snapshot}. *)
 
 val dirty_pages : t -> int list

@@ -174,7 +174,9 @@ type chunk_out = {
    bit-identical either way (the restore is architecturally exact and
    every observer is chunk-scoped); only host-side boot work is saved.
    Domain-local (see [Exp.Pool.Cache]): at most [cap] live servers per
-   pool domain, about 35 MB each at the scenario's 16 MiB memory. *)
+   pool domain, each resident in the pages its boot and chunks wrote
+   (under 1 MiB booted and checkpointed; the 16 MiB image is mapped on
+   first touch). *)
 let server_pool :
     (Scenario.isolation * int * Machine.engine * int option, Server.t) Exp.Pool.Cache.t =
   Exp.Pool.Cache.create ~cap:16 ()

@@ -680,6 +680,48 @@ let test_smc_superblock_coherence () =
   run_at target;
   Alcotest.(check int64) "new insn after invalidate_icache" 9L (Machine.gpr m 4)
 
+(* [invalidate_icache] resets only the decode slots and superblocks
+   filled since the previous call, from a bounded log, and falls back to
+   a full reset once the log overflows.  The program is [pairs] one-pair
+   blocks (an add, then a branch to the next pair); the rewritten
+   instruction is the last one filled, so a reset that missed any fill,
+   logged or not, would leave its stale decode or block in place.  At
+   1200 pairs the program fills 2401 decode slots and pins 1200 blocks,
+   past the log. *)
+let test_invalidate_every_fill () =
+  List.iter
+    (fun pairs ->
+      let m = Machine.create () in
+      Machine.set_timing m false;
+      Machine.set_kernel m (fun _ ctx ->
+          match ctx.Machine.exc with
+          | Cp0.Breakpoint -> Machine.Halt 0
+          | e -> Alcotest.failf "unexpected exception: %s" (Cp0.exc_to_string e));
+      Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
+      let base = 0x20040 in
+      let put i insn =
+        Mem.Phys.write_u32 m.Machine.phys (Int64.of_int (base + (4 * i))) (Code.encode insn)
+      in
+      for k = 0 to pairs - 1 do
+        put (2 * k) (Insn.Daddiu (3, 3, 1));
+        put ((2 * k) + 1) (Insn.Beq (0, 0, 0))
+      done;
+      put (2 * pairs) Insn.Break;
+      let run () =
+        Machine.set_gpr m 3 0L;
+        Machine.set_pc m (Int64.of_int base);
+        Alcotest.(check int) "exit" 0 (Outcome.exited (Machine.run_result ~max_insns:10_000L m));
+        Machine.gpr m 3
+      in
+      ignore (run ());
+      Alcotest.(check int64) "second pass" (Int64.of_int pairs) (run ());
+      Alcotest.(check bool) "every pair pinned" true (m.Machine.sb_translations >= pairs);
+      put (2 * (pairs - 1)) (Insn.Daddiu (3, 3, 5));
+      Alcotest.(check int64) "stale without invalidate" (Int64.of_int pairs) (run ());
+      Machine.invalidate_icache m;
+      Alcotest.(check int64) "new insn after invalidate_icache" (Int64.of_int (pairs + 4)) (run ()))
+    [ 8; 1200 ]
+
 (* Trap-heavy engine differential: a hot straight-line block whose load
    walks off the end of its capability must produce identical
    architectural results under the plain and superblock engines — same
@@ -1168,6 +1210,7 @@ let suites =
         Alcotest.test_case "ALU superblock allocates nothing" `Quick
           test_alu_superblock_allocates_nothing;
         Alcotest.test_case "high PC keeps 64 bits" `Quick test_high_pc;
+        Alcotest.test_case "invalidate resets every fill" `Quick test_invalidate_every_fill;
       ] );
   ]
 

@@ -356,6 +356,195 @@ let prop_phys_snapshot_roundtrip =
       done;
       tracked && restored = List.length dirty && !intact && Mem.Phys.dirty_pages p = [])
 
+(* Reference model for physical memory: a plain [Bytes] image, a
+   per-page "written since the snapshot" flag and a list of snapshot
+   copies, driven in lockstep with [Phys] through random sequences on a
+   non-page-multiple image.  Every read, every [Bus_error], every
+   [dirty_pages] list and every [restore] page count must agree, pages
+   first written after a snapshot included (they restore to zero). *)
+
+let phys_size = 0x5803 (* 5.5 pages and 3 bytes: the last page is partial and ends mid-word *)
+
+type phys_op =
+  | P_write of int * int * int64 (* width, address, value *)
+  | P_write_bytes of int * string
+  | P_read of int * int (* width, address *)
+  | P_read_bytes of int * int (* address, length *)
+  | P_snap
+  | P_restore of int (* 0 = the newest snapshot; k > 0 is k snapshots older, so stale *)
+
+let pp_phys_op = function
+  | P_write (w, a, v) -> Printf.sprintf "write%d 0x%x 0x%Lx" (8 * w) a v
+  | P_write_bytes (a, b) -> Printf.sprintf "write_bytes 0x%x len=%d" a (String.length b)
+  | P_read (w, a) -> Printf.sprintf "read%d 0x%x" (8 * w) a
+  | P_read_bytes (a, l) -> Printf.sprintf "read_bytes 0x%x len=%d" a l
+  | P_snap -> "snapshot"
+  | P_restore k -> Printf.sprintf "restore %d" k
+
+type phys_model = {
+  image : Bytes.t;
+  written : bool array; (* per page: written since the newest snapshot *)
+  mutable snaps : Bytes.t list; (* newest first *)
+}
+
+let phys_model_in_range a len = a >= 0 && a < phys_size && a + len <= phys_size
+
+let phys_model_mark m a len =
+  if len > 0 then
+    for p = a / Mem.Phys.page_bytes to (a + len - 1) / Mem.Phys.page_bytes do
+      m.written.(p) <- true
+    done
+
+let phys_model_dirty m =
+  List.filter (fun p -> m.written.(p)) (List.init (Array.length m.written) Fun.id)
+
+let gen_phys_ops =
+  QCheck.Gen.(
+    (* Page-boundary neighbourhoods, the whole image, and just outside it. *)
+    let addr =
+      frequency
+        [
+          (3, map2 (fun p d -> (p * 4096) + d) (int_bound 6) (int_range (-9) 9));
+          (3, int_bound (phys_size - 1));
+          (1, int_range (-16) (-1));
+          (1, int_range (phys_size - 24) (phys_size + 16));
+        ]
+    in
+    let width = oneofl [ 1; 2; 4; 8 ] in
+    let op =
+      frequency
+        [
+          (6, map3 (fun w a v -> P_write (w, a, v)) width addr ui64);
+          (2, map2 (fun a b -> P_write_bytes (a, b)) addr (string_size (int_bound 40)));
+          (6, map2 (fun w a -> P_read (w, a)) width addr);
+          (2, map2 (fun a l -> P_read_bytes (a, l)) addr (int_bound 40));
+          (1, return P_snap);
+          (2, map (fun k -> P_restore k) (frequency [ (4, return 0); (1, int_range 1 2) ]));
+        ]
+    in
+    list_size (int_range 1 60) op)
+
+let arb_phys_ops =
+  QCheck.make gen_phys_ops ~print:(fun ops -> String.concat "; " (List.map pp_phys_op ops))
+
+let prop_phys_reference =
+  QCheck.Test.make ~count:1000 ~name:"physical memory agrees with a Bytes reference model"
+    arb_phys_ops (fun ops ->
+      let p = Mem.Phys.create ~size_bytes:phys_size in
+      let m =
+        {
+          image = Bytes.make phys_size '\000';
+          written = Array.make ((phys_size + Mem.Phys.page_bytes - 1) / Mem.Phys.page_bytes) false;
+          snaps = [];
+        }
+      in
+      let snaps = ref [] (* [Phys] snapshots, newest first *) in
+      (* [Some v] or [None] for a [Bus_error], on both sides. *)
+      let guard f = try Some (f ()) with Mem.Phys.Bus_error _ -> None in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          let agrees =
+            match op with
+            | P_write (w, a, v) ->
+                let addr = Int64.of_int a in
+                let got =
+                  guard (fun () ->
+                      match w with
+                      | 1 -> Mem.Phys.write_u8 p addr (Int64.to_int v)
+                      | 2 -> Mem.Phys.write_u16 p addr (Int64.to_int v)
+                      | 4 -> Mem.Phys.write_u32 p addr (Int64.to_int v)
+                      | _ -> Mem.Phys.write_u64 p addr v)
+                in
+                let want = phys_model_in_range a w in
+                if want then begin
+                  let b = Bytes.create 8 in
+                  Bytes.set_int64_le b 0 v;
+                  Bytes.blit b 0 m.image a w;
+                  phys_model_mark m a w
+                end;
+                Option.is_some got = want
+            | P_write_bytes (a, b) ->
+                let got = guard (fun () -> Mem.Phys.write_bytes p (Int64.of_int a) (Bytes.of_string b)) in
+                let want = phys_model_in_range a (String.length b) in
+                if want then begin
+                  Bytes.blit_string b 0 m.image a (String.length b);
+                  phys_model_mark m a (String.length b)
+                end;
+                Option.is_some got = want
+            | P_read (w, a) ->
+                let addr = Int64.of_int a in
+                let got =
+                  guard (fun () ->
+                      match w with
+                      | 1 -> Int64.of_int (Mem.Phys.read_u8 p addr)
+                      | 2 -> Int64.of_int (Mem.Phys.read_u16 p addr)
+                      | 4 -> Int64.of_int (Mem.Phys.read_u32 p addr)
+                      | _ -> Mem.Phys.read_u64 p addr)
+                in
+                let want =
+                  if not (phys_model_in_range a w) then None
+                  else
+                    let b = Bytes.make 8 '\000' in
+                    Bytes.blit m.image a b 0 w;
+                    Some (Bytes.get_int64_le b 0)
+                in
+                got = want
+            | P_read_bytes (a, l) ->
+                let got = guard (fun () -> Mem.Phys.read_bytes p (Int64.of_int a) l) in
+                let want = if phys_model_in_range a l then Some (Bytes.sub m.image a l) else None in
+                got = want
+            | P_snap ->
+                snaps := Mem.Phys.snapshot p :: !snaps;
+                m.snaps <- Bytes.copy m.image :: m.snaps;
+                Array.fill m.written 0 (Array.length m.written) false;
+                true
+            | P_restore k -> (
+                match (List.nth_opt !snaps k, List.nth_opt m.snaps k) with
+                | Some s, Some image when k = 0 ->
+                    let want = List.length (phys_model_dirty m) in
+                    Bytes.blit image 0 m.image 0 phys_size;
+                    Array.fill m.written 0 (Array.length m.written) false;
+                    Mem.Phys.restore p s = want
+                | Some s, Some _ -> (
+                    match Mem.Phys.restore p s with
+                    | _ -> false
+                    | exception Invalid_argument _ -> true)
+                | _ -> true)
+          in
+          ok := !ok && agrees && Mem.Phys.dirty_pages p = phys_model_dirty m)
+        ops;
+      !ok && Bytes.equal (Mem.Phys.read_bytes p 0L phys_size) m.image)
+
+(* The image is mapped on first touch: a 256 MiB machine written once
+   every 32 MiB, and a snapshot of it, stay resident in a few pages
+   rather than the configured size. *)
+let vm_rss_mb () =
+  let ic = open_in "/proc/self/status" in
+  let rec scan () =
+    match input_line ic with
+    | line when String.length line > 6 && String.sub line 0 6 = "VmRSS:" ->
+        Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d kB" (fun kb -> kb / 1024)
+    | _ -> scan ()
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) scan
+
+let test_phys_lazy () =
+  let before = vm_rss_mb () in
+  let p = Mem.Phys.create ~size_bytes:(256 lsl 20) in
+  for k = 0 to 7 do
+    Mem.Phys.write_u64 p (Int64.of_int (k * (32 lsl 20))) (Int64.of_int (k + 1))
+  done;
+  let written = vm_rss_mb () - before in
+  if written >= 32 then Alcotest.failf "256 MiB image grew VmRSS by %d MiB" written;
+  let s = Mem.Phys.snapshot p in
+  Mem.Phys.write_u64 p (Int64.of_int (255 lsl 20)) 9L;
+  Alcotest.(check int) "restore" 1 (Mem.Phys.restore p s);
+  let snapped = vm_rss_mb () - before in
+  if snapped >= 32 then Alcotest.failf "snapshot grew VmRSS to %d MiB" snapped;
+  Alcotest.(check int64) "touched word" 8L (Mem.Phys.read_u64 p (Int64.of_int (7 * (32 lsl 20))));
+  Alcotest.(check int64) "untouched page" 0L (Mem.Phys.read_u64 p (Int64.of_int (255 lsl 20)))
+
 (* A snapshot is tied to the dirty map that was cleared when it was
    taken: once a newer snapshot exists, restoring an older one would
    rewind pages the map no longer tracks, so it must be refused. *)
@@ -468,10 +657,12 @@ let suites =
         prop_tlb_reference;
         prop_cache_reference;
         prop_phys_snapshot_roundtrip;
+        prop_phys_reference;
       ];
     ( "mem-snapshot",
       [
         Alcotest.test_case "stale snapshot refused" `Quick test_phys_snapshot_stale;
+        Alcotest.test_case "image is mapped on first touch" `Quick test_phys_lazy;
         Alcotest.test_case "tags restore by page" `Quick test_tags_restore_page;
       ] );
     ( "mem-hierarchy",
