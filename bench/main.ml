@@ -668,49 +668,46 @@ let () =
      fields).  --quick: cut the Bechamel quota for a fast micro smoke. *)
   let wall = not (List.mem "--no-wall" args) in
   let quick = List.mem "--quick" args in
-  (* --baseline DIR: where `regress` finds the committed exports. *)
-  let rec take_baseline = function
-    | "--baseline" :: dir :: rest -> (dir, rest)
+  (* [take flag parse default args]: [parse] of the value after the first
+     [flag] in [args] ([default] when absent), and [args] without the
+     pair.  A value [parse] rejects is a usage error (exit 2). *)
+  let rec take flag parse default = function
+    | f :: v :: rest when f = flag -> (parse v, rest)
     | a :: rest ->
-        let dir, rest' = take_baseline rest in
-        (dir, a :: rest')
-    | [] -> ("bench/baselines", [])
+        let x, rest' = take flag parse default rest in
+        (x, a :: rest')
+    | [] -> (default, [])
   in
-  let baseline_dir, args = take_baseline args in
+  let usage flag expected v =
+    Printf.eprintf "bench: %s expects %s, got %S\n" flag expected v;
+    exit 2
+  in
+  (* --baseline DIR: where `regress` finds the committed exports. *)
+  let baseline_dir, args = take "--baseline" Fun.id "bench/baselines" args in
   (* --jobs N: fan independent (benchmark x mode x param) points across
      N domains.  Results merge in input order, so any N produces
      byte-identical tables and JSON (modulo measured wall clocks). *)
-  let rec take_jobs = function
-    | "--jobs" :: n :: rest -> (
+  let jobs, args =
+    take "--jobs"
+      (fun n ->
         match int_of_string_opt n with
-        | Some j when j >= 1 -> (j, rest)
-        | _ ->
-            Printf.eprintf "bench: --jobs expects a positive integer, got %S\n" n;
-            exit 2)
-    | a :: rest ->
-        let j, rest' = take_jobs rest in
-        (j, a :: rest')
-    | [] -> (1, [])
+        | Some j when j >= 1 -> j
+        | _ -> usage "--jobs" "a positive integer" n)
+      1 args
   in
-  let jobs, args = take_jobs args in
   (* --engine plain|superblock: pin the interpreter engine for the obs
      export set (`obs` / `regress`).  The engines are architecturally
      identical, so `regress --engine plain` against a
      superblock-generated baseline must — and does — pass: the diff
      policy compares architectural counters only. *)
-  let rec take_engine = function
-    | "--engine" :: e :: rest -> (
+  let engine, args =
+    take "--engine"
+      (fun e ->
         match Machine.engine_of_string e with
-        | Some _ as eng -> (eng, rest)
-        | None ->
-            Printf.eprintf "bench: --engine expects plain|superblock, got %S\n" e;
-            exit 2)
-    | a :: rest ->
-        let eng, rest' = take_engine rest in
-        (eng, a :: rest')
-    | [] -> (None, [])
+        | Some _ as eng -> eng
+        | None -> usage "--engine" "plain|superblock" e)
+      None args
   in
-  let engine, args = take_engine args in
   let args =
     List.filter
       (fun a -> a <> "--paper-size" && a <> "--skip-fault" && a <> "--json" && a <> "--no-wall" && a <> "--quick")

@@ -3,14 +3,15 @@
 
    The registers live unboxed in one byte image, 8 bytes each: GPR i at
    byte [8 * i], HI at [hi_off], LO at [lo_off].  The interpreter reads
-   and writes the image through the [get64]/[set64] primitives, so a
-   register write stores a machine word instead of allocating an [int64]
-   box.  [$0]'s slot is never written, so it reads 0 without a branch. *)
+   and writes the image through [get64]/[set64], Stdlib's native-endian
+   accessors, which the compiler inlines across modules, so a register
+   write stores a machine word instead of allocating an [int64] box.
+   [$0]'s slot is never written, so it reads 0 without a branch. *)
 
 type t = Bytes.t
 
-external get64 : t -> int -> int64 = "%caml_bytes_get64"
-external set64 : t -> int -> int64 -> unit = "%caml_bytes_set64"
+let get64 = Bytes.get_int64_ne
+let set64 = Bytes.set_int64_ne
 
 let hi_off = 8 * 32
 let lo_off = 8 * 33

@@ -34,8 +34,8 @@ val diff : t -> t -> string option
     of the image, bounds-checked.  GPR [i] sits at [8 * i] and must never
     be written at [i = 0]; HI and LO sit at [hi_off] and [lo_off]. *)
 
-external get64 : t -> int -> int64 = "%caml_bytes_get64"
-external set64 : t -> int -> int64 -> unit = "%caml_bytes_set64"
+val get64 : t -> int -> int64
+val set64 : t -> int -> int64 -> unit
 
 val hi_off : int
 val lo_off : int

@@ -63,7 +63,6 @@ let in_range ~addr ~size ~base ~length =
   && Int64.logxor (Int64.sub addr base) flip <= Int64.logxor (Int64.sub length size) flip
 
 (* Alignment helpers; [align] must be a power of two. *)
-let is_aligned v align = equal (logand v (sub align 1L)) 0L
 let align_down v align = logand v (lognot (sub align 1L))
 
 let align_up v align =

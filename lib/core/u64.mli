@@ -51,8 +51,6 @@ val add_overflows : t -> t -> bool
 val in_range : addr:t -> size:t -> base:t -> length:t -> bool
 
 (** Alignment helpers; the alignment must be a power of two. *)
-val is_aligned : t -> t -> bool
-
 val align_down : t -> t -> t
 val align_up : t -> t -> t
 

@@ -100,12 +100,7 @@ let detected_fraction s =
 (* --- machine plumbing --------------------------------------------------- *)
 
 let fresh_machine ?engine mode =
-  let config =
-    match mode with
-    | Cheri128 -> { Machine.default_config with Machine.cap_width = Machine.W128 }
-    | Baseline | Cheri -> Machine.default_config
-  in
-  let m = Machine.create ~config () in
+  let m = Exp.Bench_run.machine_for (layout_mode mode) in
   (match engine with Some e -> Machine.set_engine m e | None -> ());
   (* Campaigns measure detection, not cycles: functional mode makes a
      100-seed sweep interactive. *)

@@ -239,15 +239,11 @@ let set_trace_hook t f = t.on_trace <- f
 let set_step_hook t f = t.on_step <- f
 let set_store_hook t f = t.on_store <- f
 
-(* Unboxed state access.  Inlined, so inside this module a PC or register
-   value stays in a machine register; callers in other modules get the
-   boxed [int64] at the call boundary.  [i] is a register number, 0..31;
-   slot 0 is never written, so it reads 0. *)
-external cell_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
-external cell_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
-
-let[@inline] pc t = cell_get64 t.pc_cell 0
-let[@inline] set_pc t v = cell_set64 t.pc_cell 0 v
+(* Unboxed state access.  Inlined, so a PC or register value stays in a
+   machine register until a call that is not inlined boxes it.  [i] is a
+   register number, 0..31; slot 0 is never written, so it reads 0. *)
+let[@inline] pc t = Bytes.get_int64_ne t.pc_cell 0
+let[@inline] set_pc t v = Bytes.set_int64_ne t.pc_cell 0 v
 let same_pc a b = Int64.equal (pc a) (pc b)
 let[@inline] gpr t i = Regs.get64 t.regs (i lsl 3)
 let[@inline] set_gpr t i v = if i <> 0 then Regs.set64 t.regs (i lsl 3) v
@@ -944,7 +940,7 @@ let[@inline never] check_fetch t pc =
   if not (prot.Mem.Tlb.valid && prot.Mem.Tlb.executable) then raise (Exn (Cp0.Tlb_load, pc))
 
 let[@inline] charge_fetch t =
-  if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~pc:t.pc_cell)
+  if t.timing then charge t (Mem.Hierarchy.access_insn t.hier ~pc:(pc t))
 
 (* The I-side of every retirement, whichever tier supplies the decoded
    instruction: the fetch checks, then the I-side hierarchy charge.

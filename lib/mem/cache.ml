@@ -137,11 +137,12 @@ let access_line_slow t ~line ~write =
     if writeback then miss_writeback else miss_clean
   end
 
-let access_line t ~line ~write =
+let[@inline] access_line t ~line ~write =
   if line = t.mru_line then begin
     (* MRU-front hit: same line as the previous access, still resident by
        the front invariant.  Counter and LRU updates are exactly the full
-       hit path's. *)
+       hit path's.  Inlined into callers; the way search stays out of
+       line. *)
     t.tick <- t.tick + 1;
     t.hits <- t.hits + 1;
     Array.unsafe_set t.lru t.mru_slot t.tick;

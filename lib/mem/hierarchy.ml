@@ -147,79 +147,55 @@ let l2_access t ~line ~write =
       end;
       1
 
-(* Touch one line through L1 -> L2 -> DRAM, returning a cycle cost.
-   [l1_ev] is the attribution class of a miss in [l1] (L1I vs L1D). *)
-let line_access t ~l1 ~l1_ev ~line ~write =
-  match Cache.access_line l1 ~line ~write with
-  | Cache.Hit -> 0
-  | Cache.Miss { writeback = l1_wb } ->
-      let cost = ref t.config.l2_hit_cycles in
+(* The rest of an L1 miss on [line] (the L1 has already installed it):
+   the victim's writeback, the L2 fill and, on an L2 miss, DRAM and the
+   tag controller.  Returns the cycle cost.  [l1_ev] is the attribution
+   class of the miss (L1I vs L1D). *)
+let l1_miss t ~l1_ev ~line ~write ~writeback:l1_wb =
+  let cost = ref t.config.l2_hit_cycles in
+  (match t.on_event with
+  | None -> ()
+  | Some f -> f l1_ev ~addr:(Int64.of_int (line lsl t.line_bits)));
+  (* Known fault, kept because every timed baseline depends on it:
+     the dirty victim is written back under the *incoming* line's
+     index, so the victim never reaches L2, this writeback installs
+     the incoming line there, and the fill below always hits.  A
+     dirty-victim miss to a line absent from L2 is charged
+     [l2_hit_cycles] with no [dram_cycles] and no tag lookup. *)
+  if l1_wb then ignore (l2_access t ~line ~write:true);
+  (match Cache.access_line t.l2 ~line ~write:false with
+  | Cache.Hit -> ()
+  | Cache.Miss { writeback } ->
+      cost := !cost + t.config.dram_cycles;
+      t.dram_read_bytes <- t.dram_read_bytes + t.config.line_bytes;
       (match t.on_event with
       | None -> ()
-      | Some f -> f l1_ev ~addr:(Int64.of_int (line lsl t.line_bits)));
-      (* Known fault, kept because every timed baseline depends on it:
-         the dirty victim is written back under the *incoming* line's
-         index, so the victim never reaches L2, this writeback installs
-         the incoming line there, and the fill below always hits.  A
-         dirty-victim miss to a line absent from L2 is charged
-         [l2_hit_cycles] with no [dram_cycles] and no tag lookup. *)
-      if l1_wb then ignore (l2_access t ~line ~write:true);
-      (match Cache.access_line t.l2 ~line ~write:false with
-      | Cache.Hit -> ()
-      | Cache.Miss { writeback } ->
-          cost := !cost + t.config.dram_cycles;
-          t.dram_read_bytes <- t.dram_read_bytes + t.config.line_bytes;
-          (match t.on_event with
-          | None -> ()
-          | Some f ->
-              let addr = Int64.of_int (line lsl t.line_bits) in
-              f Obs.Attrib.L2_miss ~addr;
-              f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
-          if writeback then begin
-            t.dram_write_bytes <- t.dram_write_bytes + t.config.line_bytes;
-            (match t.on_event with
-            | None -> ()
-            | Some f ->
-                f (Obs.Attrib.Dram_write t.config.line_bytes)
-                  ~addr:(Int64.of_int (line lsl t.line_bits)))
-          end;
-          cost := !cost + tag_lookup t ~line ~write);
-      !cost
+      | Some f ->
+          let addr = Int64.of_int (line lsl t.line_bits) in
+          f Obs.Attrib.L2_miss ~addr;
+          f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
+      if writeback then begin
+        t.dram_write_bytes <- t.dram_write_bytes + t.config.line_bytes;
+        (match t.on_event with
+        | None -> ()
+        | Some f ->
+            f (Obs.Attrib.Dram_write t.config.line_bytes)
+              ~addr:(Int64.of_int (line lsl t.line_bits)))
+      end;
+      cost := !cost + tag_lookup t ~line ~write);
+  !cost
 
-(* Hand-inlined TLB and L1 hit fast paths.  [access_insn]/[access_data]
-   run once or twice per simulated instruction, and in the dev build
-   every cross-module call is indirect, so the call into
-   [Tlb.touch]/[Cache.access_line] is itself measurable.  Each helper is
-   the hit branch of lib/mem/tlb.ml / lib/mem/cache.ml with byte-identical
-   state updates; on [false] it has touched nothing and the caller runs
-   the full layered path.  Hits fire no events, so both are safe with an
-   observer attached. *)
+(* Touch one line through L1 -> L2 -> DRAM, returning a cycle cost.  The
+   L1 hit (inlined from [Cache.access_line]) costs the caller no call;
+   a miss goes out of line. *)
+let[@inline] line_access t ~l1 ~l1_ev ~line ~write =
+  match Cache.access_line l1 ~line ~write with
+  | Cache.Hit -> 0
+  | Cache.Miss { writeback } -> l1_miss t ~l1_ev ~line ~write ~writeback
 
-(* [Tlb.touch]'s hit branch. *)
-let tlb_fast_hit tlb p =
-  let slot = tlb.Tlb.slot_of.(p) in
-  if slot >= 0 then begin
-    tlb.Tlb.tick <- tlb.Tlb.tick + 1;
-    tlb.Tlb.hits <- tlb.Tlb.hits + 1;
-    Array.unsafe_set tlb.Tlb.slot_tick slot tlb.Tlb.tick;
-    true
-  end
-  else false
-
-(* [Cache.access_line]'s MRU-front branch. *)
-let l1_fast_hit l1 line write =
-  if line = l1.Cache.mru_line then begin
-    l1.Cache.tick <- l1.Cache.tick + 1;
-    l1.Cache.hits <- l1.Cache.hits + 1;
-    Array.unsafe_set l1.Cache.lru l1.Cache.mru_slot l1.Cache.tick;
-    if write then Bytes.unsafe_set l1.Cache.dirty l1.Cache.mru_slot '\001';
-    true
-  end
-  else false
-
-(* The TLB lookup behind a [tlb_fast_hit] miss: the full [Tlb.touch],
-   charging a refill when the page is not resident. *)
-let tlb_slow t addr =
+(* The TLB's share of an access at [addr]: nothing on a hit, the
+   software refill on a miss. *)
+let[@inline] tlb_access t addr =
   if Tlb.touch t.tlb addr then 0
   else begin
     fire t Obs.Attrib.Tlb_miss ~addr;
@@ -241,32 +217,20 @@ let access_data t ~addr ~size ~write =
   | None -> ()
   | Some f -> f (if write then Obs.Attrib.Store size else Obs.Attrib.Load size) ~addr);
   let iaddr = Int64.to_int addr in
-  let first = iaddr lsr t.line_bits in
-  let last = (iaddr + max 1 size - 1) lsr t.line_bits in
-  let tlb_cost = if tlb_fast_hit t.tlb (iaddr lsr Tlb.page_bits) then 0 else tlb_slow t addr in
-  if first = last && l1_fast_hit t.l1d first write then tlb_cost
-  else begin
-    let cost = ref tlb_cost in
-    for line = first to last do
-      cost := !cost + line_access t ~l1:t.l1d ~l1_ev:Obs.Attrib.L1d_miss ~line ~write
-    done;
-    !cost
-  end
+  let cost = ref (tlb_access t addr) in
+  for line = iaddr lsr t.line_bits to (iaddr + max 1 size - 1) lsr t.line_bits do
+    cost := !cost + line_access t ~l1:t.l1d ~l1_ev:Obs.Attrib.L1d_miss ~line ~write
+  done;
+  !cost
 
-external pc_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
-
-(* An instruction fetch at the PC held unboxed in the 8-byte cell [pc]
-   (the machine's PC cell).  The hit paths work on the native-int PC;
-   only a TLB miss reads the exact 64-bit PC back out, boxed, for
-   [Tlb.touch] and the attribution event. *)
-let access_insn t ~pc =
-  let iaddr = Int64.to_int (pc_get64 pc 0) in
-  let line = iaddr lsr t.line_bits in
-  let tlb_cost =
-    if tlb_fast_hit t.tlb (iaddr lsr Tlb.page_bits) then 0 else tlb_slow t (pc_get64 pc 0)
-  in
-  if l1_fast_hit t.l1i line false then tlb_cost
-  else tlb_cost + line_access t ~l1:t.l1i ~l1_ev:Obs.Attrib.L1i_miss ~line ~write:false
+(* An instruction fetch at [pc].  Inlined into the machine's fetch, so
+   the PC stays unboxed on the hit paths; only an attached probe boxes
+   it, for a miss event. *)
+let[@inline] access_insn t ~pc =
+  let tlb_cost = tlb_access t pc in
+  tlb_cost
+  + line_access t ~l1:t.l1i ~l1_ev:Obs.Attrib.L1i_miss
+      ~line:(Int64.to_int pc lsr t.line_bits) ~write:false
 
 (* Deposit the hierarchy's internal statistics into an observability
    counter file (lib/obs).  This is the lib/mem half of the counter

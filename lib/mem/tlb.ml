@@ -95,11 +95,37 @@ let protection t vaddr =
     Array.unsafe_get prots (Char.code (Bytes.unsafe_get t.perms p))
   else prot_none
 
-(* Touch the TLB for a translation; returns [true] on a TLB hit.  On a miss
-   the least-recently-used entry is evicted (modelling the software refill
-   the timing model charges for).  The residency read is bounds-checked:
-   a page beyond the map raises [Invalid_argument]. *)
-let touch t vaddr =
+(* [touch]'s miss path, kept out of line: install page [p] in a free
+   slot, or evict the least-recently-used entry (modelling the software
+   refill the timing model charges for). *)
+let touch_miss t p =
+  t.misses <- t.misses + 1;
+  let slot =
+    if t.used >= t.entries then begin
+      (* Evict true LRU: the minimum tick (ticks are unique). *)
+      let best = ref 0 in
+      for i = 1 to t.entries - 1 do
+        if t.slot_tick.(i) < t.slot_tick.(!best) then best := i
+      done;
+      t.slot_of.(t.slot_vpn.(!best)) <- -1;
+      !best
+    end
+    else begin
+      let s = t.used in
+      t.used <- t.used + 1;
+      s
+    end
+  in
+  t.slot_vpn.(slot) <- p;
+  t.slot_tick.(slot) <- t.tick;
+  t.slot_of.(p) <- slot;
+  false
+
+(* Touch the TLB for a translation; returns [true] on a TLB hit.  The hit
+   branch is inlined into callers, so a hit costs them no call and no
+   boxed address.  The residency read is bounds-checked: a page beyond
+   the map raises [Invalid_argument]. *)
+let[@inline] touch t vaddr =
   t.tick <- t.tick + 1;
   let p = vpn vaddr in
   let slot = t.slot_of.(p) in
@@ -108,29 +134,7 @@ let touch t vaddr =
     Array.unsafe_set t.slot_tick slot t.tick;
     true
   end
-  else begin
-    t.misses <- t.misses + 1;
-    let slot =
-      if t.used >= t.entries then begin
-        (* Evict true LRU: the minimum tick (ticks are unique). *)
-        let best = ref 0 in
-        for i = 1 to t.entries - 1 do
-          if t.slot_tick.(i) < t.slot_tick.(!best) then best := i
-        done;
-        t.slot_of.(t.slot_vpn.(!best)) <- -1;
-        !best
-      end
-      else begin
-        let s = t.used in
-        t.used <- t.used + 1;
-        s
-      end
-    in
-    t.slot_vpn.(slot) <- p;
-    t.slot_tick.(slot) <- t.tick;
-    t.slot_of.(p) <- slot;
-    false
-  end
+  else touch_miss t p
 
 (* Drop a page from residency: move the last live slot into the hole so
    slots [0, used) stay dense (membership and ticks are preserved, so LRU

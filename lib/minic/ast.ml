@@ -65,13 +65,3 @@ let rec pp_ty ppf = function
   | Tvoid -> Fmt.string ppf "void"
   | Tptr t -> Fmt.pf ppf "%a*" pp_ty t
   | Tstruct s -> Fmt.pf ppf "struct %s" s
-
-let ty_equal a b =
-  let rec go a b =
-    match (a, b) with
-    | Tint, Tint | Tvoid, Tvoid -> true
-    | Tptr a, Tptr b -> go a b
-    | Tstruct a, Tstruct b -> String.equal a b
-    | _ -> false
-  in
-  go a b

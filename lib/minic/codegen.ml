@@ -362,8 +362,6 @@ let store_ptr env ptr ~imm ~(index : string option) (v : value) =
 
 (* --- local variable access ---------------------------------------------------- *)
 
-let local_addr_into_at env off = emit env "daddiu $at, $fp, %d" off
-
 let read_local env name =
   match List.assoc_opt name env.locals with
   | None -> None
@@ -448,49 +446,6 @@ let write_global env name ty v =
       emit env "la $at, %s" (global_label name);
       emit env "sd %s, 0($at)" r
   | _ -> err "representation mismatch storing global %s" name
-
-(* --- value management across calls ------------------------------------------------ *)
-
-(* Push/pop one machine value in a 32-byte, 32-aligned stack cell (keeps
-   $sp capability-aligned; the larger spill footprint of capability
-   registers is a real CHERI cost the paper notes in Section 5.1). *)
-let push_value env v =
-  emit env "daddiu $sp, $sp, -32";
-  (match v with
-  | VInt r | VPtr r -> emit env "sd %s, 0($sp)" r
-  | VCap c -> emit env "csc %s, $sp, 0($c0)" c
-  | VFat (a, b, e) ->
-      emit env "sd %s, 0($sp)" a;
-      emit env "sd %s, 8($sp)" b;
-      emit env "sd %s, 16($sp)" e);
-  free_value env v
-
-let pop_value env shape =
-  let v =
-    match shape with
-    | `Int ->
-        let r = alloc_gpr env in
-        emit env "ld %s, 0($sp)" r;
-        VInt r
-    | `Ptr -> (
-        match mode env with
-        | Layout.Legacy ->
-            let r = alloc_gpr env in
-            emit env "ld %s, 0($sp)" r;
-            VPtr r
-        | Layout.Cheri | Layout.Cheri128 ->
-            let c = alloc_cap env in
-            emit env "clc %s, $sp, 0($c0)" c;
-            VCap c
-        | Layout.Softcheck ->
-            let a = alloc_gpr env and b = alloc_gpr env and e = alloc_gpr env in
-            emit env "ld %s, 0($sp)" a;
-            emit env "ld %s, 8($sp)" b;
-            emit env "ld %s, 16($sp)" e;
-            VFat (a, b, e))
-  in
-  emit env "daddiu $sp, $sp, 32";
-  v
 
 (* Registers currently in use (allocated from the pools). *)
 let live_temps env =

@@ -29,9 +29,6 @@ let mode_name = function
 let ptr_size = function Legacy -> 8 | Cheri -> 32 | Cheri128 -> 16 | Softcheck -> 24
 let ptr_align = function Legacy -> 8 | Cheri -> 32 | Cheri128 -> 16 | Softcheck -> 8
 
-(* Both capability widths share the capability code generator. *)
-let is_cheri = function Cheri | Cheri128 -> true | Legacy | Softcheck -> false
-
 exception Error of string
 
 let err fmt = Fmt.kstr (fun m -> raise (Error m)) fmt

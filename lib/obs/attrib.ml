@@ -63,11 +63,6 @@ let c_dram_write_bytes = 6
 let c_tag_sets = 7
 let c_tag_clears = 8
 
-let class_index name =
-  let found = ref None in
-  Array.iteri (fun i n -> if n = name then found := Some i) class_names;
-  !found
-
 type t = {
   granule_bits : int; (* region size = 2^granule_bits bytes *)
   by_pc : (int64, int array) Hashtbl.t;

@@ -86,5 +86,3 @@ let run rt ?(degree = 4) ?(iters = 4) ~n () =
     | Some nd -> sum (Int64.add acc (Runtime.read_int rt nd f_value)) (Runtime.read_ptr rt nd f_next)
   in
   Int64.logand (sum 0L (Some e0)) 0xFFFF_FFFF_FFFFL
-
-let fix_one_exposed = fix_one

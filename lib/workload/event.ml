@@ -20,8 +20,6 @@ type field = Ptr | Scalar of int
 
 type layout = field array
 
-let layout_fields (l : layout) = Array.length l
-
 (* Size of a layout under a given pointer representation. *)
 let layout_bytes ~ptr_bytes l =
   Array.fold_left

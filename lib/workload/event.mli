@@ -12,8 +12,6 @@ type field = Ptr | Scalar of int
 
 type layout = field array
 
-val layout_fields : layout -> int
-
 (** Byte size of a layout under a pointer representation of [ptr_bytes]. *)
 val layout_bytes : ptr_bytes:int -> layout -> int
 
