@@ -364,9 +364,10 @@ let micro ~quick () =
     Test.make ~name:"instruction decode (4 insns)"
       (Staged.stage (fun () -> List.iter (fun w -> ignore (Beri.Code.decode w)) words))
   in
-  let interp =
+  (* The machine the three loop benchmarks share: a 200-instruction
+     countdown loop, mapped, halting on its closing [break]. *)
+  let loop_machine () =
     let m = Machine.create () in
-    let _k = Os.Kernel.attach m in
     let program =
       Asm.Assembler.assemble
         "main:\n  li $t0, 100\nloop:\n  daddiu $t0, $t0, -1\n  bgtz $t0, loop\n  break\n"
@@ -374,9 +375,13 @@ let micro ~quick () =
     Asm.Assembler.load m program;
     Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
     Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
+    (m, program.Asm.Assembler.entry)
+  in
+  let interp =
+    let m, entry = loop_machine () in
     Test.make ~name:"interpreter: 200-instruction loop"
       (Staged.stage (fun () ->
-           Machine.set_pc m program.Asm.Assembler.entry;
+           Machine.set_pc m entry;
            ignore (Machine.run_result ~max_insns:1_000L m : Machine.run_result)))
   in
   let cache =
@@ -394,21 +399,13 @@ let micro ~quick () =
     (* Decode-cache hit: the same steady 200-instruction loop as the
        interpreter benchmark, but measured per instruction after the
        decode cache and caches are warm — the common-case ns/insn. *)
-    let m = Machine.create () in
-    let _k = Os.Kernel.attach m in
-    let program =
-      Asm.Assembler.assemble
-        "main:\n  li $t0, 100\nloop:\n  daddiu $t0, $t0, -1\n  bgtz $t0, loop\n  break\n"
-    in
-    Asm.Assembler.load m program;
-    Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
-    Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
-    Machine.set_pc m program.Asm.Assembler.entry;
+    let m, entry = loop_machine () in
+    Machine.set_pc m entry;
     ignore (Machine.run_result ~max_insns:1_000L m : Machine.run_result);
     (* warm *)
     Test.make ~name:"step, decode-cache hit (1 insn)"
       (Staged.stage (fun () ->
-           Machine.set_pc m program.Asm.Assembler.entry;
+           Machine.set_pc m entry;
            Machine.step m))
   in
   let sb_dispatch =
@@ -416,22 +413,13 @@ let micro ~quick () =
        superblock tier — one pinned-block lookup plus the pre-decoded
        execute loop.  Compared against "step, decode-cache hit" this is
        the per-dispatch win of skipping fetch+decode-lookup per insn. *)
-    let m = Machine.create () in
-    let _k = Os.Kernel.attach m in
-    let program =
-      Asm.Assembler.assemble
-        "main:\n  li $t0, 100\nloop:\n  daddiu $t0, $t0, -1\n  bgtz $t0, loop\n  break\n"
-    in
-    Asm.Assembler.load m program;
-    Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
-    Machine.set_kernel m (fun _ _ -> Machine.Halt 0);
-    Machine.set_engine m Machine.Superblock;
-    Machine.set_pc m program.Asm.Assembler.entry;
+    let m, entry = loop_machine () in
+    Machine.set_pc m entry;
     ignore (Machine.run_result ~max_insns:1_000L m : Machine.run_result);
     (* warm: blocks formed *)
     Test.make ~name:"sb_step, superblock dispatch (1 block)"
       (Staged.stage (fun () ->
-           Machine.set_pc m program.Asm.Assembler.entry;
+           Machine.set_pc m entry;
            Machine.sb_step m ~fuel:64))
   in
   let cold_fetch =
@@ -440,7 +428,6 @@ let micro ~quick () =
        alternately — every step is a decode-cache conflict miss paying
        fetch + decode + insert, the cost the two tiers above amortize. *)
     let m = Machine.create () in
-    let _k = Os.Kernel.attach m in
     let program =
       Asm.Assembler.assemble
         "  .text 0x1000\n  daddiu $t0, $t0, 1\n  .text 0x11000\n  daddiu $t0, $t0, 1\n"

@@ -23,10 +23,6 @@ let get t i =
   check i "Regs.get";
   get64 t (i lsl 3)
 
-let set t i v =
-  check i "Regs.set";
-  if i <> 0 then set64 t (i lsl 3) v
-
 let hi t = get64 t hi_off
 let lo t = get64 t lo_off
 let set_hi t v = set64 t hi_off v

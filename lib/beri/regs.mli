@@ -8,9 +8,6 @@ val create : unit -> t
 (** [get t 0] is always 0. *)
 val get : t -> int -> int64
 
-(** Writes to register 0 are discarded. *)
-val set : t -> int -> int64 -> unit
-
 val hi : t -> int64
 val lo : t -> int64
 val set_hi : t -> int64 -> unit

@@ -9,22 +9,13 @@
 
 type t = int64
 
-let zero = 0L
-let one = 1L
 let max_value = 0xFFFF_FFFF_FFFF_FFFFL
 
-let of_int = Int64.of_int
-let to_int = Int64.to_int
 let add = Int64.add
 let sub = Int64.sub
-let mul = Int64.mul
 let logand = Int64.logand
-let logor = Int64.logor
-let logxor = Int64.logxor
 let lognot = Int64.lognot
 let shift_left = Int64.shift_left
-let shift_right_logical = Int64.shift_right_logical
-let shift_right = Int64.shift_right
 
 (* Unsigned comparisons via the sign-flip trick: a <u b iff
    (a xor 2^63) <s (b xor 2^63).  Written with primitive [Int64] ops only
@@ -33,7 +24,6 @@ let shift_right = Int64.shift_right
    boxed subtractions per call, and these run several times per simulated
    instruction (every capability bounds check). *)
 let flip = Int64.min_int
-let compare a b = Stdlib.compare (Int64.logxor a flip) (Int64.logxor b flip)
 let equal = Int64.equal
 let lt a b = Int64.logxor a flip < Int64.logxor b flip
 let le a b = Int64.logxor a flip <= Int64.logxor b flip
@@ -78,4 +68,3 @@ let round_up_pow2 v =
     go 1L
 
 let pp ppf v = Fmt.pf ppf "0x%Lx" v
-let to_string v = Printf.sprintf "0x%Lx" v

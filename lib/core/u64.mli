@@ -7,28 +7,14 @@
 
 type t = int64
 
-val zero : t
-val one : t
-
 (** 2{^64} - 1, the length of the almighty capability. *)
 val max_value : t
 
-val of_int : int -> t
-val to_int : t -> int
 val add : t -> t -> t
 val sub : t -> t -> t
-val mul : t -> t -> t
 val logand : t -> t -> t
-val logor : t -> t -> t
-val logxor : t -> t -> t
 val lognot : t -> t
 val shift_left : t -> int -> t
-val shift_right_logical : t -> int -> t
-val shift_right : t -> int -> t
-
-(** Unsigned comparison, [Int64.unsigned_compare]. *)
-val compare : t -> t -> int
-
 val equal : t -> t -> bool
 val lt : t -> t -> bool
 val le : t -> t -> bool
@@ -58,4 +44,3 @@ val align_up : t -> t -> t
 val round_up_pow2 : t -> t
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

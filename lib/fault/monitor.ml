@@ -92,35 +92,24 @@ let check_regs ?root (m : Machine.t) =
   List.rev !acc
 
 (* Scan every tagged line in [base, base+len): decode it exactly as a CLC
-   would and apply the oracles.  Tag/data integrity means a tagged line
-   *is* a well-formed, monotonic capability. *)
+   would ([Machine.read_cap]) and apply the oracles.  Tag/data integrity
+   means a tagged line *is* a well-formed, monotonic capability. *)
 let check_memory ?root (m : Machine.t) ~base ~len =
   let cap_width = m.Machine.config.Machine.cap_width in
   let tags = m.Machine.tags in
-  let line_bytes = Mem.Tags.granularity tags in
-  let line = Int64.of_int line_bytes in
+  let g = Mem.Tags.granularity tags in
   (* Cover [base, base+len) in full: the first line rounds down and the
      last rounds up, so an unaligned [base] does not shift the window off
      its tail and a [len] that is not a granularity multiple still scans
      the partial last line. *)
-  let first = Int64.div base line in
-  let count =
-    if Int64.compare len 0L <= 0 then 0
-    else
-      let last = Int64.div (Int64.sub (Int64.add base len) 1L) line in
-      Int64.to_int (Int64.add (Int64.sub last first) 1L)
-  in
+  let first = Int64.to_int base land -g in
+  let stop = if Int64.compare len 0L <= 0 then first else Int64.to_int (Int64.add base len) in
   let acc = ref [] in
-  for i = 0 to count - 1 do
-    let addr = Int64.mul (Int64.add first (Int64.of_int i)) (Int64.of_int line_bytes) in
+  let a = ref first in
+  while !a < stop do
+    let addr = Int64.of_int !a in
     if Mem.Tags.get tags addr then begin
-      let c =
-        match cap_width with
-        | Machine.W256 -> Cap.Capability.of_bytes ~tag:true (Mem.Phys.read_bytes m.Machine.phys addr 32)
-        | Machine.W128 ->
-            Cap.Cap128.decompress ~tag:true
-              (Cap.Cap128.of_bytes (Mem.Phys.read_bytes m.Machine.phys addr 16))
-      in
+      let c = Machine.read_cap m addr ~tag:true in
       let subject = Printf.sprintf "line 0x%Lx" addr in
       let before = !acc in
       acc := check_one ~cap_width ~root ~subject c before;
@@ -128,7 +117,8 @@ let check_memory ?root (m : Machine.t) ~base ~len =
          violation: the tag asserts "this is a valid capability". *)
       if !acc != before then
         acc := { oracle = "tag-integrity"; subject; detail = "tagged line is not a valid capability" } :: !acc
-    end
+    end;
+    a := !a + g
   done;
   List.rev !acc
 

@@ -25,10 +25,6 @@ type outcome =
   | Agree of Exec.outcome * int (* identical observations; shared outcome + retired count *)
   | Engine_mismatch of { what : string } (* any observable difference: an engine bug *)
 
-let outcome_key = function
-  | Agree (o, _) -> Exec.outcome_key o
-  | Engine_mismatch _ -> "mismatch"
-
 let pp_outcome ppf = function
   | Agree (o, n) -> Fmt.pf ppf "engines agree after %d retirements: %a" n Exec.pp_outcome o
   | Engine_mismatch { what } -> Fmt.pf ppf "ENGINE MISMATCH: %s" what

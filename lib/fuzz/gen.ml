@@ -82,8 +82,6 @@ type cfg = {
   wide : bool; (* arm c8/r21 with W128-unrepresentable bounds (lockstep mode) *)
 }
 
-let default = { insns = 24; wide = false }
-
 (* The monotonicity root the invariant monitor checks reachable
    capabilities against: it must dominate every capability [reset]
    installs. *)

@@ -1,17 +1,6 @@
-(* The user virtual-address-space layout used by the kernel model, the
-   assembler defaults, and the compiler.  A small fixed layout keeps the
-   interpreter's identity mapping simple; sizes are generous for the Olden
-   workloads (heap regions up to several MB for the Figure 5 sweep). *)
+(* Where the kernel model's heap starts.  The heap grows from here; the
+   stack and the heap limit scale with the machine, so [Kernel.attach]
+   derives them from its size, and the assembler keeps its own text and
+   data defaults. *)
 
-let text_base = 0x1_0000L
-let data_base = 0x10_0000L
 let heap_base = 0x20_0000L
-
-(* The stack occupies the top megabyte of the machine's memory and the
-   heap may grow to 16 MB below it; [Kernel.attach] derives the actual
-   bounds from the machine size (the defaults below describe the standard
-   64 MB machine). *)
-let stack_top = 0x400_0000L
-let stack_base = Int64.sub stack_top 0x10_0000L
-let heap_limit = Int64.sub stack_top 0x110_0000L
-let user_top = stack_top

@@ -8,11 +8,11 @@
    reusable address space."
 
    Because every capability in the system is identifiable — tagged
-   256-bit lines in memory, plus the register file and PCC — revoking a
-   region is a precise sweep: clear the tag of every capability whose
-   segment intersects the revoked range.  Dangling capabilities then fault
-   on their next use (tag violation), giving deterministic temporal
-   safety without address-space reuse hazards.
+   capability-sized lines in memory, plus the register file and PCC —
+   revoking a region is a precise sweep: clear the tag of every
+   capability whose segment intersects the revoked range.  Dangling
+   capabilities then fault on their next use (tag violation), giving
+   deterministic temporal safety without address-space reuse hazards.
 
    The same sweep, run in collection mode, *finds* the live capabilities
    instead: the tracing pass of the paper's non-reuse allocator. *)
@@ -31,29 +31,35 @@ type stats = {
   register_capabilities_revoked : int;
 }
 
+(* Call [f addr c] for every tagged line of physical memory, in address
+   order, with [c] the capability it holds ([Machine.read_cap]).  Lines
+   are the tag table's granule, the machine's capability size. *)
+let iter_memory_caps (m : Machine.t) f =
+  let tags = m.Machine.tags in
+  let g = Mem.Tags.granularity tags in
+  let mem_size = Mem.Phys.size m.Machine.phys in
+  let a = ref 0 in
+  while !a < mem_size do
+    let addr = Int64.of_int !a in
+    if Mem.Tags.get tags addr then f addr (Machine.read_cap m addr ~tag:true);
+    a := !a + g
+  done
+
 (* [revoke machine ~base ~length] clears the tag of every capability —
-   in memory or in the register file — that grants access to any byte of
-   [base, base+length).  Returns sweep statistics.  O(tagged lines): the
-   tag table tells the sweep exactly where capabilities live, so untagged
-   memory is never touched. *)
+   in memory, in the register file, or PCC — that grants access to any
+   byte of [base, base+length).  Returns sweep statistics.  The sweep
+   reads the tag of every line of physical memory (one bit per
+   capability-sized granule) and decodes only the tagged ones, so it
+   costs O(memory size / granule) tag reads plus O(tagged lines)
+   decodes; the data of untagged lines is never read. *)
 let revoke (m : Machine.t) ~base ~length =
   let scanned = ref 0 and revoked = ref 0 and regs = ref 0 in
-  let mem_size = Mem.Phys.size m.Machine.phys in
-  let line = ref 0L in
-  let line_bytes = Int64.of_int Mem.Tags.line_bytes in
-  while Int64.to_int !line < mem_size do
-    if Mem.Tags.get m.Machine.tags !line then begin
+  iter_memory_caps m (fun addr c ->
       incr scanned;
-      let c =
-        Capability.of_bytes ~tag:true (Mem.Phys.read_bytes m.Machine.phys !line 32)
-      in
       if intersects c ~base ~length then begin
-        Mem.Tags.set m.Machine.tags !line false;
+        Mem.Tags.set m.Machine.tags addr false;
         incr revoked
-      end
-    end;
-    line := Int64.add !line line_bytes
-  done;
+      end);
   for i = 0 to 31 do
     let c = Machine.cap m i in
     if intersects c ~base ~length then begin
@@ -73,24 +79,16 @@ let revoke (m : Machine.t) ~base ~length =
 
 (* [live_capability_roots machine] is the tracing pass of the non-reuse
    allocator: every segment currently reachable from a tagged capability
-   anywhere in the system, as (base, length) pairs.  Address space outside
-   every returned segment is provably unreferenced and reusable. *)
+   anywhere in the system — memory, the register file and PCC, the same
+   places [revoke] sweeps — as (base, length) pairs.  Address space
+   outside every returned segment is provably unreferenced and
+   reusable. *)
 let live_capability_roots (m : Machine.t) =
   let roots = ref [] in
-  let mem_size = Mem.Phys.size m.Machine.phys in
-  let line = ref 0L in
-  let line_bytes = Int64.of_int Mem.Tags.line_bytes in
-  while Int64.to_int !line < mem_size do
-    if Mem.Tags.get m.Machine.tags !line then begin
-      let c =
-        Capability.of_bytes ~tag:true (Mem.Phys.read_bytes m.Machine.phys !line 32)
-      in
-      roots := (Capability.base c, Capability.length c) :: !roots
-    end;
-    line := Int64.add !line line_bytes
-  done;
+  let add c = if Capability.tag c then roots := (Capability.base c, Capability.length c) :: !roots in
+  iter_memory_caps m (fun _ c -> add c);
   for i = 0 to 31 do
-    let c = Machine.cap m i in
-    if Capability.tag c then roots := (Capability.base c, Capability.length c) :: !roots
+    add (Machine.cap m i)
   done;
+  add m.Machine.pcc;
   !roots

@@ -134,27 +134,24 @@ type t = {
      head PC in [sb_pc], -1 = empty) and executed by a tight loop.  Blocks
      are formed *exclusively from decode-cache-resident entries* — so a
      translation can never observe instruction bytes the plain engine
-     would not — and are retired by [invalidate_icache] plus a store
-     snoop ([sb_snoop]): any store landing inside a translated region
-     flushes the tier, after which re-translation sees exactly the decode
+     would not, and every block head is a fill in [decode_log] — and are
+     retired by [invalidate_icache] and by any store to a page flagged in
+     [code_pages], after which re-translation sees exactly the decode
      cache the plain engine would.  Host-side only; architectural
      behaviour is identical under both engines. *)
   mutable engine : engine;
   sb_pc : int array;
   sb_code : Insn.t array array;
-  sb_log : int array;
-  mutable sb_pins : int; (* [decode_log]'s counterpart for superblock slots *)
-  sb_snoop : Mem.Snoop.t;
   (* Byte-per-page map of every physical page the decode cache has been
      filled from since the last [invalidate_icache].  Superblocks are
      formed exclusively from decode-resident entries, so the map also
-     covers every translated region.  [restore] consults it: a rewound
-     page flagged here may hold bytes some warm decode entry was formed
-     from, so the warm tiers are invalidated — the SMC-coherence
-     contract extended across checkpoint/restore.  (Page-granular, not a
-     convex hull like [sb_snoop]: the hull of code regions would span
-     the data pages between them and false-positive on every chunk's
-     mailbox writes.) *)
+     covers every translated region.  It is the superblocks' store
+     filter, and [restore] consults it: a rewound page flagged here may
+     hold bytes some warm decode entry was formed from, so the warm
+     tiers are invalidated — the SMC-coherence contract extended across
+     checkpoint/restore.  (Page-granular, not a convex hull of the code
+     regions: that would span the data pages between them and
+     false-positive on every chunk's mailbox writes.) *)
   code_pages : Bytes.t;
   mutable sb_translations : int; (* superblocks formed (host counter) *)
   mutable sb_dispatches : int; (* block entries (host counter) *)
@@ -180,8 +177,8 @@ let sb_mask = sb_slots - 1
 let max_sb_len = 64
 
 (* Fills logged between invalidations.  A fuzz program fills a few dozen
-   decode slots and pins fewer superblocks; a workload that fills more
-   has run long enough that one full refill is noise. *)
+   decode slots; a workload that fills more has run long enough that one
+   full refill is noise. *)
 let fill_log_len = 1024
 
 (* The reset kernel: a bare machine treats any syscall as "exit 0" and has
@@ -223,9 +220,6 @@ let create ?(config = default_config) () =
     engine = Superblock;
     sb_pc = Array.make sb_slots (-1);
     sb_code = Array.make sb_slots [||];
-    sb_log = Array.make fill_log_len 0;
-    sb_pins = 0;
-    sb_snoop = Mem.Snoop.create ();
     code_pages = Bytes.make (max 1 ((config.mem_size + 4095) lsr 12)) '\000';
     sb_translations = 0;
     sb_dispatches = 0;
@@ -278,28 +272,46 @@ let map_identity t ~vaddr ~len prot = Mem.Tlb.map t.hier.Mem.Hierarchy.tlb ~vadd
 
 let charge t n = if t.timing then t.cycles <- t.cycles + n
 
-(* Retire every superblock.  Called by [invalidate_icache] and by the
-   store snoop when a store lands inside a translated region (the
-   SMC-coherence contract: translations must never outlive a write to
-   the bytes they were formed from — stale *decode-cache* entries are the
-   plain engine's documented behaviour until [invalidate_icache], and
-   re-translation reproduces exactly that, but a block pinned before the
-   store could otherwise disagree with what the plain engine's
-   direct-mapped cache would serve after a conflict eviction). *)
-let flush_superblocks t =
-  if t.sb_pins > fill_log_len then Array.fill t.sb_pc 0 sb_slots (-1)
+(* Walk the fill log: reset every superblock slot a logged PC heads
+   and, with [decode], that PC's decode slot and code-page flag too; an
+   overflowed log resets the whole table(s) instead.  Every block head is
+   a logged fill, so this reaches every pinned block. *)
+let retire_fills t ~decode =
+  if t.decode_fills > fill_log_len then begin
+    Array.fill t.sb_pc 0 sb_slots (-1);
+    if decode then begin
+      Array.fill t.decode_pc 0 decode_slots (-1);
+      Bytes.fill t.code_pages 0 (Bytes.length t.code_pages) '\000'
+    end
+  end
   else
-    for k = 0 to t.sb_pins - 1 do
-      Array.unsafe_set t.sb_pc (Array.unsafe_get t.sb_log k) (-1)
-    done;
-  t.sb_pins <- 0;
-  Mem.Snoop.clear t.sb_snoop
+    for k = 0 to t.decode_fills - 1 do
+      let ipc = Array.unsafe_get t.decode_log k in
+      Array.unsafe_set t.sb_pc ((ipc lsr 2) land sb_mask) (-1);
+      if decode then begin
+        Array.unsafe_set t.decode_pc ((ipc lsr 2) land decode_mask) (-1);
+        Bytes.unsafe_set t.code_pages (ipc lsr 12) '\000'
+      end
+    done
 
-(* Store snoop: probe the coherence filter; on intersection with any
-   translated region, retire the tier.  Two integer compares per store in
-   the common (miss) case. *)
-let snoop_store t ~addr ~size =
-  if Mem.Snoop.hit t.sb_snoop ~addr:(Int64.to_int addr) ~size then flush_superblocks t
+(* Retire every superblock, keeping the decode cache.  Called when a
+   store lands on a code page (the SMC-coherence contract: translations
+   must never outlive a write to the bytes they were formed from — stale
+   *decode-cache* entries are the plain engine's documented behaviour
+   until [invalidate_icache], and re-translation reproduces exactly
+   that, but a block pinned before the store could otherwise disagree
+   with what the plain engine's direct-mapped cache would serve after a
+   conflict eviction). *)
+let flush_superblocks t = retire_fills t ~decode:false
+
+(* The superblocks' store filter: one byte of [code_pages].  The store
+   has passed [Mem.Phys]'s bounds check, and an aligned store of at most
+   32 bytes lies on one page.  Out of line: inlined into the store path
+   it read 2.9% slower on olden-functional (10 alternating pairs on a
+   2-core shared host, 2/10 wins). *)
+let[@inline never] snoop_store t addr =
+  if Bytes.unsafe_get t.code_pages (Int64.to_int addr lsr 12) <> '\000' then
+    flush_superblocks t
 
 (* --- diagnostic snapshots ---------------------------------------------- *)
 
@@ -426,15 +438,14 @@ let check_alignment addr size store =
   if size > 1 && Int64.to_int addr land (size - 1) <> 0 then
     raise (Exn ((if store then Cp0.Address_error_store else Cp0.Address_error_load), addr))
 
-let check_page t addr ~write ~size =
+(* Accesses must not straddle a page boundary in this model; our ABI
+   aligns all scalars naturally so this cannot occur for valid code. *)
+let check_page t addr ~write =
   let tlb = t.hier.Mem.Hierarchy.tlb in
   let prot = Mem.Tlb.protection tlb addr in
   if not prot.Mem.Tlb.valid then
     raise (Exn ((if write then Cp0.Tlb_store else Cp0.Tlb_load), addr));
   if write && not prot.Mem.Tlb.writable then raise (Exn (Cp0.Tlb_store, addr));
-  (* Accesses must not straddle a page boundary in this model; our ABI
-     aligns all scalars naturally so this cannot occur for valid code. *)
-  ignore size;
   prot
 
 let data_penalty t ~addr ~size ~write =
@@ -447,7 +458,7 @@ let load_scalar t ~reg c ~addr ~width ~unsigned rd =
   let size = Insn.width_bytes width in
   check_alignment addr size false;
   check_cap t ~reg c Cap.Capability.Load ~addr ~size;
-  ignore (check_page t addr ~write:false ~size);
+  ignore (check_page t addr ~write:false);
   data_penalty t ~addr ~size ~write:false;
   try
     match (width, unsigned) with
@@ -474,7 +485,7 @@ let[@inline] write_scalar t ~addr ~size ~width v =
      | Insn.D -> Mem.Phys.write_u64 t.phys addr v
    with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_store, a)));
   t.stores <- t.stores + 1;
-  snoop_store t ~addr ~size;
+  snoop_store t addr;
   (* A general-purpose store clears the tag of the overlapped line(s):
      the architectural rule that makes in-memory capabilities unforgeable. *)
   Mem.Tags.clear_range t.tags addr size;
@@ -486,7 +497,7 @@ let store_scalar t ~reg c ~addr ~width rs =
   let size = Insn.width_bytes width in
   check_alignment addr size true;
   check_cap t ~reg c Cap.Capability.Store ~addr ~size;
-  ignore (check_page t addr ~write:true ~size);
+  ignore (check_page t addr ~write:true);
   data_penalty t ~addr ~size ~write:true;
   match t.on_store with
   | None -> write_scalar t ~addr ~size ~width (gpr t rs)
@@ -520,11 +531,29 @@ let cap_digest v =
     mix h (if Cap.Capability.is_sealed v then 7L else 11L)
   end
 
+(* The capability image at [addr], decoded in this machine's format with
+   the given tag: the one decoder of capabilities in memory, shared by
+   [load_cap], the security monitor and the revocation sweeps ([store_cap]
+   is the one encoder).  @raise Mem.Phys.Bus_error when the image overruns
+   physical memory. *)
+let[@inline] read_cap t addr ~tag =
+  match t.config.cap_width with
+  | W256 ->
+      (* Word-granule image read: one bounds check, four word loads, no
+         intermediate buffer. *)
+      let i = Mem.Phys.image_index t.phys addr 32 in
+      Cap.Capability.of_words ~tag
+        ~flags:(Mem.Phys.get_u64 t.phys i)
+        ~reserved:(Mem.Phys.get_u64 t.phys (i + 8))
+        ~base:(Mem.Phys.get_u64 t.phys (i + 16))
+        ~length:(Mem.Phys.get_u64 t.phys (i + 24))
+  | W128 -> Cap.Cap128.decompress ~tag (Cap.Cap128.of_bytes (Mem.Phys.read_bytes t.phys addr 16))
+
 let load_cap t ~reg c ~addr =
   let size = cap_size t in
   check_alignment addr size false;
   check_cap t ~reg c Cap.Capability.Load_cap ~addr ~size;
-  let prot = check_page t addr ~write:false ~size in
+  let prot = check_page t addr ~write:false in
   data_penalty t ~addr ~size ~write:false;
   try
     let tag = Mem.Tags.get t.tags addr in
@@ -532,20 +561,7 @@ let load_cap t ~reg c ~addr =
        bit yields data with the tag stripped (Section 6.1), giving the OS
        shared mappings that cannot carry capabilities between processes. *)
     let tag = tag && prot.Mem.Tlb.cap_load in
-    let c =
-      match t.config.cap_width with
-      | W256 ->
-          (* Word-granule image read: one bounds check, four word loads,
-             no intermediate buffer. *)
-          let i = Mem.Phys.image_index t.phys addr 32 in
-          Cap.Capability.of_words ~tag
-            ~flags:(Mem.Phys.get_u64 t.phys i)
-            ~reserved:(Mem.Phys.get_u64 t.phys (i + 8))
-            ~base:(Mem.Phys.get_u64 t.phys (i + 16))
-            ~length:(Mem.Phys.get_u64 t.phys (i + 24))
-      | W128 ->
-          Cap.Cap128.decompress ~tag (Cap.Cap128.of_bytes (Mem.Phys.read_bytes t.phys addr 16))
-    in
+    let c = read_cap t addr ~tag in
     (match t.probe with
     | Some p when Cap.Capability.tag c ->
         Obs.Probe.note_cap_bounds p ~len:(Cap.Capability.length c)
@@ -557,7 +573,7 @@ let store_cap t ~reg c ~addr v =
   let size = cap_size t in
   check_alignment addr size true;
   check_cap t ~reg c Cap.Capability.Store_cap ~addr ~size;
-  let prot = check_page t addr ~write:true ~size in
+  let prot = check_page t addr ~write:true in
   if Cap.Capability.tag v && not prot.Mem.Tlb.cap_store then begin
     t.cp0.Cp0.capcause <- Cap.Cause.Permit_store_capability_violation;
     t.cp0.Cp0.capcause_reg <- reg;
@@ -593,7 +609,7 @@ let store_cap t ~reg c ~addr v =
       (try Mem.Phys.write_bytes t.phys addr image
        with Mem.Phys.Bus_error a -> raise (Exn (Cp0.Address_error_store, a))));
   t.stores <- t.stores + 1;
-  snoop_store t ~addr ~size;
+  snoop_store t addr;
   (match t.probe with
   | Some p when Cap.Capability.tag v ->
       Obs.Probe.note_cap_bounds p ~len:(Cap.Capability.length v)
@@ -988,18 +1004,8 @@ let[@inline] retire t insn =
 (* O(fills since the last call): only logged slots and pages are reset
    unless the log overflowed. *)
 let invalidate_icache t =
-  if t.decode_fills > fill_log_len then begin
-    Array.fill t.decode_pc 0 decode_slots (-1);
-    Bytes.fill t.code_pages 0 (Bytes.length t.code_pages) '\000'
-  end
-  else
-    for k = 0 to t.decode_fills - 1 do
-      let ipc = Array.unsafe_get t.decode_log k in
-      Array.unsafe_set t.decode_pc ((ipc lsr 2) land decode_mask) (-1);
-      Bytes.unsafe_set t.code_pages (ipc lsr 12) '\000'
-    done;
-  t.decode_fills <- 0;
-  flush_superblocks t
+  retire_fills t ~decode:true;
+  t.decode_fills <- 0
 
 (* Route an in-flight exception to the kernel model: the shared tail of
    [step] and the superblock executor, so both engines dispatch traps
@@ -1043,10 +1049,10 @@ let step t =
         if representable then begin
           Array.unsafe_set t.decode_pc slot ipc;
           Array.unsafe_set t.decode_insn slot insn;
-          (* Every decode-cache fill flags its page for [restore]'s SMC
-             check; superblock regions are subsets of decode-resident
-             PCs, so one site covers both tiers.  [fetch] bounds-checked
-             the PC, so the page index is in range. *)
+          (* Every decode-cache fill flags its page for the store filter
+             and [restore]'s SMC check; superblock regions are subsets of
+             decode-resident PCs, so one site covers both tiers.  [fetch]
+             bounds-checked the PC, so the page index is in range. *)
           Bytes.unsafe_set t.code_pages (ipc lsr 12) '\001';
           if t.decode_fills < fill_log_len then Array.unsafe_set t.decode_log t.decode_fills ipc;
           t.decode_fills <- t.decode_fills + 1
@@ -1073,13 +1079,10 @@ let ends_block = function
   | Insn.CCall _ | Insn.CReturn -> true
   | _ -> false
 
-(* Pin [code] at table slot [slot] under head [ipc], logging the slot for
-   [flush_superblocks]. *)
+(* Pin [code] at table slot [slot] under head [ipc]. *)
 let pin t ipc slot code =
   Array.unsafe_set t.sb_pc slot ipc;
-  Array.unsafe_set t.sb_code slot code;
-  if t.sb_pins < fill_log_len then Array.unsafe_set t.sb_log t.sb_pins slot;
-  t.sb_pins <- t.sb_pins + 1
+  Array.unsafe_set t.sb_code slot code
 
 (* Try to form a superblock headed at [ipc] (a faithful int PC) and pin it
    in table slot [slot].  Formation reads *only decode-cache-resident*
@@ -1120,7 +1123,6 @@ let translate t ipc slot =
     let code = Array.sub buf 0 !n in
     pin t ipc slot code;
     t.sb_translations <- t.sb_translations + 1;
-    Mem.Snoop.cover t.sb_snoop ~lo:ipc ~hi:(ipc + (!n * 4));
     code
   end
 

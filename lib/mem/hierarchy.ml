@@ -92,6 +92,21 @@ let create ?(config = default_config) () =
 (* Report one observability event at [addr]; free when no probe is attached. *)
 let fire t ev ~addr = match t.on_event with None -> () | Some f -> f ev ~addr
 
+(* A miss that goes to DRAM for data line [line]: the line read and, when
+   the miss evicted a dirty line, its write, then their attribution
+   events — the miss class [ev], [Dram_read], [Dram_write]. *)
+let[@inline] dram_fill t ~ev ~line ~writeback =
+  let bytes = t.config.line_bytes in
+  t.dram_read_bytes <- t.dram_read_bytes + bytes;
+  if writeback then t.dram_write_bytes <- t.dram_write_bytes + bytes;
+  match t.on_event with
+  | None -> ()
+  | Some f ->
+      let addr = Int64.of_int (line lsl t.line_bits) in
+      f ev ~addr;
+      f (Obs.Attrib.Dram_read bytes) ~addr;
+      if writeback then f (Obs.Attrib.Dram_write bytes) ~addr
+
 (* Tag controller: each DRAM transaction consults the tag table; the 8 KB
    tag cache covers 2 MB of memory (one bit per 32-byte line), so misses
    are rare (the paper: "does not noticeably degrade performance").
@@ -106,21 +121,7 @@ let tag_lookup t ~line ~write =
   | Cache.Hit -> 0
   | Cache.Miss { writeback } ->
       t.tag_dram_accesses <- t.tag_dram_accesses + 1;
-      t.dram_read_bytes <- t.dram_read_bytes + t.config.line_bytes;
-      (match t.on_event with
-      | None -> ()
-      | Some f ->
-          let addr = Int64.of_int (line lsl t.line_bits) in
-          f Obs.Attrib.Tag_miss ~addr;
-          f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
-      if writeback then begin
-        t.dram_write_bytes <- t.dram_write_bytes + t.config.line_bytes;
-        match t.on_event with
-        | None -> ()
-        | Some f ->
-            f (Obs.Attrib.Dram_write t.config.line_bytes)
-              ~addr:(Int64.of_int (line lsl t.line_bits))
-      end;
+      dram_fill t ~ev:Obs.Attrib.Tag_miss ~line ~writeback;
       (* Fetched in parallel with the DRAM line fill; charge a single cycle. *)
       1
 
@@ -130,21 +131,7 @@ let l2_access t ~line ~write =
   match Cache.access_line t.l2 ~line ~write with
   | Cache.Hit -> 0
   | Cache.Miss { writeback } ->
-      t.dram_read_bytes <- t.dram_read_bytes + t.config.line_bytes;
-      (match t.on_event with
-      | None -> ()
-      | Some f ->
-          let addr = Int64.of_int (line lsl t.line_bits) in
-          f Obs.Attrib.L2_miss ~addr;
-          f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
-      if writeback then begin
-        t.dram_write_bytes <- t.dram_write_bytes + t.config.line_bytes;
-        match t.on_event with
-        | None -> ()
-        | Some f ->
-            f (Obs.Attrib.Dram_write t.config.line_bytes)
-              ~addr:(Int64.of_int (line lsl t.line_bits))
-      end;
+      dram_fill t ~ev:Obs.Attrib.L2_miss ~line ~writeback;
       1
 
 (* The rest of an L1 miss on [line] (the L1 has already installed it):
@@ -152,7 +139,6 @@ let l2_access t ~line ~write =
    tag controller.  Returns the cycle cost.  [l1_ev] is the attribution
    class of the miss (L1I vs L1D). *)
 let l1_miss t ~l1_ev ~line ~write ~writeback:l1_wb =
-  let cost = ref t.config.l2_hit_cycles in
   (match t.on_event with
   | None -> ()
   | Some f -> f l1_ev ~addr:(Int64.of_int (line lsl t.line_bits)));
@@ -163,27 +149,12 @@ let l1_miss t ~l1_ev ~line ~write ~writeback:l1_wb =
      dirty-victim miss to a line absent from L2 is charged
      [l2_hit_cycles] with no [dram_cycles] and no tag lookup. *)
   if l1_wb then ignore (l2_access t ~line ~write:true);
-  (match Cache.access_line t.l2 ~line ~write:false with
-  | Cache.Hit -> ()
+  match Cache.access_line t.l2 ~line ~write:false with
+  | Cache.Hit -> t.config.l2_hit_cycles
   | Cache.Miss { writeback } ->
-      cost := !cost + t.config.dram_cycles;
-      t.dram_read_bytes <- t.dram_read_bytes + t.config.line_bytes;
-      (match t.on_event with
-      | None -> ()
-      | Some f ->
-          let addr = Int64.of_int (line lsl t.line_bits) in
-          f Obs.Attrib.L2_miss ~addr;
-          f (Obs.Attrib.Dram_read t.config.line_bytes) ~addr);
-      if writeback then begin
-        t.dram_write_bytes <- t.dram_write_bytes + t.config.line_bytes;
-        (match t.on_event with
-        | None -> ()
-        | Some f ->
-            f (Obs.Attrib.Dram_write t.config.line_bytes)
-              ~addr:(Int64.of_int (line lsl t.line_bits)))
-      end;
-      cost := !cost + tag_lookup t ~line ~write);
-  !cost
+      dram_fill t ~ev:Obs.Attrib.L2_miss ~line ~writeback;
+      let tag_cost = tag_lookup t ~line ~write in
+      t.config.l2_hit_cycles + t.config.dram_cycles + tag_cost
 
 (* Touch one line through L1 -> L2 -> DRAM, returning a cycle cost.  The
    L1 hit (inlined from [Cache.access_line]) costs the caller no call;

@@ -18,7 +18,6 @@
    Replacement is true LRU; ticks are unique, so there are no ties. *)
 
 let page_bits = 12
-let page_bytes = 1 lsl page_bits
 
 type prot = {
   valid : bool;

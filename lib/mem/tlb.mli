@@ -14,7 +14,6 @@
     neither allocates.  Replacement is true LRU with unique ticks. *)
 
 val page_bits : int
-val page_bytes : int
 
 type prot = {
   valid : bool;

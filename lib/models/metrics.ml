@@ -26,8 +26,6 @@ let create () =
     pages = Hashtbl.create 4096;
   }
 
-let page_bytes = 4096
-
 let touch_pages m addr size =
   let first = Int64.div addr 4096L in
   let last = Int64.div (Int64.add addr (Int64.of_int (max 1 size - 1))) 4096L in

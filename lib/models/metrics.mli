@@ -13,7 +13,6 @@ type t = {
 }
 
 val create : unit -> t
-val page_bytes : int
 
 (** Record one memory access (data or metadata): 1 reference, its bytes,
     and the pages it touches. *)

@@ -13,7 +13,6 @@ let f_next = 1
 let f_deps = 2
 let f_coeffs = 3
 
-let fix_one = 65536L (* 1.0 in 16.16 *)
 let fix_mul a b = Int64.shift_right (Int64.mul a b) 16
 
 let make_list_layout degree = Array.make degree Event.Ptr

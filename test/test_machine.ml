@@ -632,13 +632,14 @@ let test_smc_decode_coherence () =
 
 (* The superblock tier above the decode cache adds a second place stale
    code could hide: a pinned block carries its own pre-decoded copy of
-   the instructions.  Unlike the decode cache, translated regions ARE
-   store-snooped — a store into a covered range retires the whole tier —
-   so a pinned block can never serve a decode the plain engine's
-   direct-mapped cache would already have replaced.  The architectural
-   contract stays exactly the plain engine's: stale until
-   [invalidate_icache], fresh after.  This pins the snoop (through the
-   host-side translation counter) and the contract. *)
+   the instructions.  Unlike the decode cache, code pages ARE
+   store-snooped — a store to a page the decode cache was filled from
+   retires the whole tier — so a pinned block can never serve a decode
+   the plain engine's direct-mapped cache would already have replaced.
+   The architectural contract stays exactly the plain engine's: stale
+   until [invalidate_icache], fresh after.  This pins the snoop both
+   ways (through the host-side translation counter: a code-page store
+   retires blocks, a data-page store does not) and the contract. *)
 let test_smc_superblock_coherence () =
   let m = Machine.create () in
   Machine.set_timing m false;
@@ -678,7 +679,15 @@ let test_smc_superblock_coherence () =
   Machine.invalidate_icache m;
   Machine.set_gpr m 4 0L;
   run_at target;
-  Alcotest.(check int64) "new insn after invalidate_icache" 9L (Machine.gpr m 4)
+  Alcotest.(check int64) "new insn after invalidate_icache" 9L (Machine.gpr m 4);
+  (* A store to a page no decode fill came from leaves pinned blocks
+     alone: the rerun translates nothing. *)
+  run_at target;
+  let formed = m.Machine.sb_translations in
+  Machine.set_gpr m 8 0x40000L;
+  run_at patcher;
+  run_at target;
+  Alcotest.(check int) "data-page store keeps the block" formed m.Machine.sb_translations
 
 (* [invalidate_icache] resets only the decode slots and superblocks
    filled since the previous call, from a bounded log, and falls back to

@@ -3,8 +3,8 @@
 
 open Beri
 
-let fresh () =
-  let m = Machine.create () in
+let fresh ?config () =
+  let m = Machine.create ?config () in
   let k = Os.Kernel.attach m in
   (m, k)
 
@@ -56,8 +56,9 @@ bad:
   Alcotest.(check int) "survives unknown syscall" 0 code
 
 let test_sbrk_limit () =
-  (* Asking for more heap than Layout.heap_limit fails with -1 rather than
-     mapping anything. *)
+  (* Asking for more heap than the kernel's heap limit (which
+     [Kernel.attach] derives from the machine size) fails with -1 rather
+     than mapping anything. *)
   let code, _, _, _ =
     run
       {|
@@ -266,34 +267,50 @@ let test_unwind_trusted_stack () =
 
 (* --- revocation (Section 11) --------------------------------------------------- *)
 
+(* A 1 MiB machine with the 128-bit compressed capability format, whose
+   tag lines are 16 bytes. *)
+let cheri128 = { Machine.default_config with Machine.mem_size = 1 lsl 20; cap_width = Machine.W128 }
+
+(* Store [c] at [addr] as CSC would: in [m]'s capability format, with
+   its tag set.  The page must be mapped. *)
+let plant m addr c = Machine.store_cap m ~reg:0 Cap.Capability.almighty ~addr c
+
 let test_revoke_sweeps_memory_and_registers () =
-  let m, _ = fresh () in
-  Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
-  (* A delegated process would hold bounded capabilities; the reset-state
-     almighty registers would all intersect any region. *)
-  for i = 0 to 31 do
-    Machine.set_cap m i Cap.Capability.null
-  done;
-  m.Machine.pcc <-
-    Cap.Capability.make ~perms:Cap.Perms.execute ~base:0x10000L ~length:0x1000L;
-  (* Two capabilities in memory: one into the doomed region, one not. *)
-  let doomed = Cap.Capability.make ~perms:Cap.Perms.all ~base:0x5000L ~length:0x100L in
-  let safe = Cap.Capability.make ~perms:Cap.Perms.all ~base:0x9000L ~length:0x100L in
-  Mem.Phys.write_bytes m.Machine.phys 0x1000L (Cap.Capability.to_bytes doomed);
-  Mem.Tags.set m.Machine.tags 0x1000L true;
-  Mem.Phys.write_bytes m.Machine.phys 0x1020L (Cap.Capability.to_bytes safe);
-  Mem.Tags.set m.Machine.tags 0x1020L true;
-  (* And one in a register. *)
-  Machine.set_cap m 7 doomed;
-  Machine.set_cap m 8 safe;
-  let stats = Os.Revoke.revoke m ~base:0x5000L ~length:0x100L in
-  Alcotest.(check int) "memory revocations" 1 stats.Os.Revoke.memory_capabilities_revoked;
-  Alcotest.(check int) "register revocations" 1 stats.Os.Revoke.register_capabilities_revoked;
-  Alcotest.(check bool) "doomed memory tag cleared" false (Mem.Tags.get m.Machine.tags 0x1000L);
-  Alcotest.(check bool) "safe memory tag kept" true (Mem.Tags.get m.Machine.tags 0x1020L);
-  Alcotest.(check bool) "doomed register untagged" false
-    (Cap.Capability.tag (Machine.cap m 7));
-  Alcotest.(check bool) "safe register kept" true (Cap.Capability.tag (Machine.cap m 8))
+  List.iter
+    (fun config ->
+      let m, _ = fresh ?config () in
+      Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
+      (* A delegated process would hold bounded capabilities; the reset-state
+         almighty registers would all intersect any region. *)
+      for i = 0 to 31 do
+        Machine.set_cap m i Cap.Capability.null
+      done;
+      m.Machine.pcc <-
+        Cap.Capability.make ~perms:Cap.Perms.execute ~base:0x10000L ~length:0x1000L;
+      (* Two capabilities in memory on adjacent tag lines: one into the
+         doomed region, one not. *)
+      let doomed = Cap.Capability.make ~perms:Cap.Perms.all ~base:0x5000L ~length:0x100L in
+      let safe = Cap.Capability.make ~perms:Cap.Perms.all ~base:0x9000L ~length:0x100L in
+      let next = Int64.add 0x1000L (Int64.of_int (Mem.Tags.granularity m.Machine.tags)) in
+      plant m 0x1000L doomed;
+      plant m next safe;
+      (* And one in a register. *)
+      Machine.set_cap m 7 doomed;
+      Machine.set_cap m 8 safe;
+      let stats = Os.Revoke.revoke m ~base:0x5000L ~length:0x100L in
+      Alcotest.(check int) "memory lines scanned" 2 stats.Os.Revoke.memory_capabilities_scanned;
+      Alcotest.(check int) "memory revocations" 1 stats.Os.Revoke.memory_capabilities_revoked;
+      Alcotest.(check int) "register revocations" 1 stats.Os.Revoke.register_capabilities_revoked;
+      Alcotest.(check bool) "doomed memory tag cleared" false (Mem.Tags.get m.Machine.tags 0x1000L);
+      Alcotest.(check bool) "safe memory tag kept" true (Mem.Tags.get m.Machine.tags next);
+      Alcotest.(check bool) "doomed register untagged" false
+        (Cap.Capability.tag (Machine.cap m 7));
+      Alcotest.(check bool) "safe register kept" true (Cap.Capability.tag (Machine.cap m 8));
+      (* Revoking the other segment clears the other line. *)
+      ignore (Os.Revoke.revoke m ~base:0x9000L ~length:0x100L);
+      Alcotest.(check bool) "safe memory tag cleared in turn" false
+        (Mem.Tags.get m.Machine.tags next))
+    [ None; Some cheri128 ]
 
 let test_use_after_revoke_traps () =
   (* End to end: a program stores a capability, the kernel revokes the
@@ -342,10 +359,23 @@ let test_live_roots () =
   let m, _ = fresh () in
   Machine.set_cap m 5 (Cap.Capability.make ~perms:Cap.Perms.all ~base:0x4000L ~length:0x40L);
   let roots = Os.Revoke.live_capability_roots m in
-  Alcotest.(check bool) "found the root" true
-    (List.exists (fun (b, l) -> b = 0x4000L && l = 0x40L) roots);
+  let reported roots base len = List.exists (fun (b, l) -> b = base && l = len) roots in
+  Alcotest.(check bool) "found the root" true (reported roots 0x4000L 0x40L);
   (* registers hold the almighty capability by default: those roots too *)
-  Alcotest.(check bool) "nonempty" true (List.length roots > 0)
+  Alcotest.(check bool) "nonempty" true (List.length roots > 0);
+  (* PCC is a root too: a segment only PCC reaches is not reusable. *)
+  m.Machine.pcc <- Cap.Capability.make ~perms:Cap.Perms.execute ~base:0x7000L ~length:0x80L;
+  Alcotest.(check bool) "PCC's segment" true
+    (reported (Os.Revoke.live_capability_roots m) 0x7000L 0x80L);
+  (* Capabilities in memory on adjacent 16-byte lines of a compressed
+     machine: each line holds its own root. *)
+  let m, _ = fresh ~config:cheri128 () in
+  Machine.map_identity m ~vaddr:0L ~len:(1 lsl 20) Mem.Tlb.prot_rwx;
+  plant m 0x1000L (Cap.Capability.make ~perms:Cap.Perms.all ~base:0x5000L ~length:0x100L);
+  plant m 0x1010L (Cap.Capability.make ~perms:Cap.Perms.all ~base:0x6000L ~length:0x100L);
+  let roots = Os.Revoke.live_capability_roots m in
+  Alcotest.(check bool) "first line's segment" true (reported roots 0x5000L 0x100L);
+  Alcotest.(check bool) "second line's segment" true (reported roots 0x6000L 0x100L)
 
 let suites =
   [
